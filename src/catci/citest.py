@@ -1,9 +1,10 @@
 """G² and χ² conditional independence tests with log-scale p-values.
 
-The closed-form route cross-tabulates (x, y, z_1..z_k) once, derives slice
-marginals and expected frequencies, and sums the statistics; the ipf route
-obtains the expected cell means from the fitted conditional-independence
-log-linear model instead.  Both agree to floating precision.
+The closed-form route tabulates (x, y) within the occupied strata of
+z_1..z_k in one pass, derives the slice marginals from the occupied cells
+and sums the statistics over those cells alone; the ipf route fits the
+conditional-independence log-linear model to the same compressed table
+instead.  Both agree to floating precision.
 
 P-values are carried in natural-log scale throughout: mass screening
 multiplies tiny tail probabilities far past linear underflow.  Statistic
@@ -53,9 +54,7 @@ class ChiSquaredDist:
 def _flat_counts(observed: ContingencyTable | np.ndarray) -> np.ndarray:
     if isinstance(observed, ContingencyTable):
         if not observed.is_dense:
-            raise ValueError(
-                "statistics over sparse table storage go through ci_test's marginal form"
-            )
+            raise ValueError("statistics need dense table storage")
         return observed.dense
     arr = np.asarray(observed)
     return arr.ravel(order="F")
@@ -193,31 +192,23 @@ def _log_gamma_upper_cf(a: float, x: float) -> float:
     return a * math.log(x) - x - math.lgamma(a) + math.log(h)
 
 
-def _marginal_form_statistics(
-    table: ContingencyTable, marginals: SliceMarginals
-) -> tuple[float, float]:
-    """G² and χ² from occupied cells and slice marginals only (sparse storage).
+def _closed_form(cells: tabulate.OccupiedCells) -> tuple[float, float]:
+    """G² and χ² summed over occupied cells, from marginals derived from them.
 
-    Algebraically identical to the explicit expected-frequency form:
-    every cell with E > 0 and N = 0 contributes E to χ², and those terms
-    sum to N_{++z} per slice, giving χ² = Σ N²/E - N.
+    Within a stratum the expectations sum to the observed total, so
+    Σ (N - E)² / E over all cells with E > 0 equals Σ N² / E - n, and only
+    occupied cells enter that sum.
     """
-    dx, dy = marginals.dims_xy
-    block = dx * dy
-    index, count = table.sparse_index, table.sparse_count
-    z = index // block
-    xy = index - z * block
-    x = xy % dx
-    y = xy // dx
-    pos = np.searchsorted(marginals.z_index, z)
-    e = (
-        marginals.n_xz[pos, x].astype(np.float64)
-        * marginals.n_yz[pos, y].astype(np.float64)
-        / marginals.n_z[pos].astype(np.float64)
-    )
-    n = count.astype(np.float64)
-    g2 = max(0.0, math.fsum(2.0 * n * np.log(n / e)))
-    chi2 = max(0.0, math.fsum(n * n / e) - float(table.total))
+    dx, dy = cells.dims_xy
+    n = cells.count.astype(np.float64)
+    xz = cells.stratum * dx + cells.x
+    yz = cells.stratum * dy + cells.y
+    n_xz = np.bincount(xz, weights=n, minlength=cells.n_strata * dx)
+    n_yz = np.bincount(yz, weights=n, minlength=cells.n_strata * dy)
+    n_z = np.bincount(cells.stratum, weights=n, minlength=cells.n_strata)
+    e = n_xz[xz] * n_yz[yz] / n_z[cells.stratum]
+    g2 = max(0.0, math.fsum((2.0 * n * np.log(n / e)).tolist()))
+    chi2 = max(0.0, math.fsum((n * n / e).tolist()) - cells.total)
     return g2, chi2
 
 
@@ -244,12 +235,10 @@ def ci_test(
     levels_x = data.levels(spec.x)
     levels_y = data.levels(spec.y)
     levels_cs = [data.levels(c) for c in spec.cs]
-    table = tabulate.build_table(data, (spec.x, spec.y) + spec.cs)
-    marginals = tabulate.slice_marginals(table)
-    occupied = marginals.occupied_slices
-    empty_strata = marginals.n_slices - occupied
+    cells = tabulate.occupied_cells(data, spec.x, spec.y, spec.cs)
+    empty_strata = math.prod(levels_cs) - cells.n_strata
     nominal_dof = dof(levels_x, levels_y, levels_cs)
-    adj_dof = (levels_x - 1) * (levels_y - 1) * occupied
+    adj_dof = (levels_x - 1) * (levels_y - 1) * cells.n_strata
 
     if levels_x == 1 or levels_y == 1:
         return TestResult(
@@ -265,14 +254,14 @@ def ci_test(
         )
 
     if method == "ipf":
-        fit = loglinear.ipf_fit(table, loglinear.ci_model(len(spec.cs)))
+        # Both classes of the CI model contain Z, so fitting over the
+        # occupied strata alone leaves the fitted means and deviance unchanged.
+        fit = loglinear.ipf_fit(cells.as_table(), loglinear.ci_model(1))
+        if not fit.converged:
+            raise DataError(f"ipf fit did not converge within {fit.iterations} iterations")
         g2, chi2 = fit.deviance, fit.pearson
-    elif table.is_dense:
-        expected = tabulate.expected_ci(marginals)
-        g2 = g2_statistic(table, expected)
-        chi2 = chi2_statistic(table, expected)
     else:
-        g2, chi2 = _marginal_form_statistics(table, marginals)
+        g2, chi2 = _closed_form(cells)
 
     used_dof = adj_dof if adjust_dof else nominal_dof
     return TestResult(

@@ -13,10 +13,9 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-# Tables with at most this many cells are stored densely; larger ones switch
-# to a sparse map keyed by the mixed-radix cell index.  The conditional
-# independence computation only touches occupied cells and slice marginals,
-# so sparsity is safe.
+# build_table stores tables with at most this many cells densely; larger
+# ones switch to a sparse map keyed by the mixed-radix cell index.  ci_test
+# does not go through it: it tabulates over the occupied strata only.
 DENSE_CELL_LIMIT = 1 << 24
 
 

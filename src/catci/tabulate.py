@@ -5,6 +5,10 @@ marginals and expected frequencies are then derived from it without ever
 re-scanning the rows.  Cells use a mixed-radix flat index with the first
 variable fastest, so each conditioning combination owns one contiguous
 ``dx * dy`` block.
+
+:func:`occupied_cells` is the tabulation behind ``ci_test``: it compresses
+the conditioning set to its occupied strata while indexing, so its memory
+grows with the rows and the occupied strata, never with ``prod |Z_i|``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from .core import ContingencyTable, DataError, Dataset, SpecError, _freeze
 
 # Flat tables beyond this index range would overflow int64 arithmetic.
 _MAX_CELLS = 1 << 62
+
+# Id spaces up to this multiple of the id count are counted with bincount and
+# a lookup table; wider ones are sorted by np.unique.
+_BINCOUNT_SPAN = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +56,107 @@ class SliceMarginals:
     @property
     def occupied_slices(self) -> int:
         return int(np.count_nonzero(self.n_z))
+
+
+@dataclass(frozen=True, eq=False)
+class OccupiedCells:
+    """The occupied cells of an ``(x, y | Z)`` table, Z compressed to its strata.
+
+    Cell ``i`` holds ``count[i]`` rows with codes ``x[i]``, ``y[i]`` in
+    stratum ``stratum[i]``.  Strata are the occupied Z combinations, numbered
+    ``0..n_strata-1`` in lexicographic order of their codes; cells are
+    sorted by ``(stratum, y, x)``.
+    """
+
+    dims_xy: tuple[int, int]
+    n_strata: int
+    x: np.ndarray
+    y: np.ndarray
+    stratum: np.ndarray
+    count: np.ndarray
+    total: int
+
+    def as_table(self) -> ContingencyTable:
+        """Dense ``(x, y, stratum)`` table, at most ``|X|·|Y|·n_rows`` cells."""
+        dx, dy = self.dims_xy
+        dense = np.zeros(dx * dy * self.n_strata, dtype=np.int64)
+        dense[self.x + dx * (self.y + dy * self.stratum)] = self.count
+        return ContingencyTable(dims=(dx, dy, self.n_strata), total=self.total, dense=dense)
+
+
+def _count_distinct(
+    ids: np.ndarray, space: int, *, inverse: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Sorted distinct values of ``ids`` (all in ``[0, space)``) and their counts.
+
+    With ``inverse`` also returns each id's position among the distinct values.
+    """
+    if space <= _BINCOUNT_SPAN * ids.size:
+        counts = np.bincount(ids, minlength=space)
+        values = np.flatnonzero(counts)
+        if not inverse:
+            return values, counts[values], None
+        lut = np.empty(space, dtype=np.int64)
+        lut[values] = np.arange(values.size)
+        return values, counts[values], lut[ids]
+    if inverse:
+        values, positions, counts = np.unique(ids, return_inverse=True, return_counts=True)
+        return values, counts, positions
+    values, counts = np.unique(ids, return_counts=True)
+    return values, counts, None
+
+
+def occupied_cells(data: Dataset, x: int, y: int, cs: Sequence[int] = ()) -> OccupiedCells:
+    """Tabulate ``(x, y)`` within the occupied strata of ``cs`` in one pass.
+
+    The Z index is a mixed-radix code built column by column in one int64
+    array; whenever its radix exceeds the row count it is re-compressed to
+    the occupied strata, so the id space stays below ``n_rows · max |Z_i|``
+    and never overflows.  Indices are assumed valid (see ``validate_spec``).
+    """
+    n = data.n_rows
+    code: np.ndarray | None = None
+    radix = 1
+    for c in cs:
+        column = data.columns[c]
+        if code is None:
+            code = column.codes.copy()
+        else:
+            code *= column.levels
+            code += column.codes
+        radix *= column.levels
+        if radix > n:
+            strata, _, code = _count_distinct(code, radix, inverse=True)
+            radix = strata.size
+
+    dx, dy = data.levels(x), data.levels(y)
+    if code is None:
+        code = data.columns[y].codes * dx
+    else:
+        code *= dy
+        code += data.columns[y].codes
+        code *= dx
+    code += data.columns[x].codes
+    index, count, _ = _count_distinct(code, radix * dy * dx)
+
+    xs = index % dx
+    index //= dx
+    ys = index % dy
+    index //= dy
+    # Number the strata that occur: index is sorted, so each is one run.
+    fresh = np.empty(index.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(index[1:], index[:-1], out=fresh[1:])
+    stratum = fresh.cumsum() - 1
+    return OccupiedCells(
+        dims_xy=(dx, dy),
+        n_strata=int(np.count_nonzero(fresh)),
+        x=_freeze(xs),
+        y=_freeze(ys),
+        stratum=_freeze(stratum),
+        count=_freeze(count.astype(np.int64, copy=False)),
+        total=n,
+    )
 
 
 def build_table(
@@ -158,10 +267,7 @@ def expected_ci(marginals: SliceMarginals) -> np.ndarray:
     array in the source table's cell layout.
     """
     if marginals.is_compressed:
-        raise DataError(
-            "expected frequencies need uncompressed marginals; sparse tables "
-            "are handled by the marginal form inside ci_test"
-        )
+        raise DataError("expected frequencies need uncompressed marginals of a dense table")
     n_xz = marginals.n_xz.astype(np.float64)
     n_yz = marginals.n_yz.astype(np.float64)
     n_z = marginals.n_z.astype(np.float64)

@@ -100,3 +100,44 @@ def log_sf_quadrature(stat, dof, dps=50):
         points = sorted({float(s), float(peak), float(peak) + 60 * width})
         integral = mp.quad(scaled, points + [mp.inf])
         return float(log_scale + mp.log(integral))
+
+
+def ci_occupied_bruteforce(data, spec):
+    """G², χ², dof, adjusted dof and empty strata of ``spec`` by dict loops.
+
+    Rows are counted into (x, y, z-tuple) cells; each occupied stratum then
+    visits only the x and y levels it contains, so the nominal cell space
+    never appears and any number of conditioning columns is fine.  χ² sums
+    (N - E)² / E over every cell with E > 0, empty ones included.
+    """
+    cell, n_xz, n_yz, n_z = {}, {}, {}, {}
+    for r in range(data.n_rows):
+        x = int(data.columns[spec.x].codes[r])
+        y = int(data.columns[spec.y].codes[r])
+        z = tuple(int(data.columns[c].codes[r]) for c in spec.cs)
+        cell[(x, y, z)] = cell.get((x, y, z), 0) + 1
+        n_xz[(x, z)] = n_xz.get((x, z), 0) + 1
+        n_yz[(y, z)] = n_yz.get((y, z), 0) + 1
+        n_z[z] = n_z.get(z, 0) + 1
+    xs_in = {z: [x for (x, zz) in n_xz if zz == z] for z in n_z}
+    ys_in = {z: [y for (y, zz) in n_yz if zz == z] for z in n_z}
+    g2_terms, chi2_terms = [], []
+    for z, nz in n_z.items():
+        for x in xs_in[z]:
+            for y in ys_in[z]:
+                e = n_xz[(x, z)] * n_yz[(y, z)] / nz
+                n = cell.get((x, y, z), 0)
+                chi2_terms.append((n - e) ** 2 / e)
+                if n:
+                    g2_terms.append(2.0 * n * math.log(n / e))
+    dx, dy = data.levels(spec.x), data.levels(spec.y)
+    nominal = math.prod(data.levels(c) for c in spec.cs)
+    degenerate = dx == 1 or dy == 1
+    return {
+        "g2": 0.0 if degenerate else max(0.0, math.fsum(g2_terms)),
+        "chi2": 0.0 if degenerate else math.fsum(chi2_terms),
+        "dof": (dx - 1) * (dy - 1) * nominal,
+        "dof_adjusted": (dx - 1) * (dy - 1) * len(n_z),
+        "empty_strata": nominal - len(n_z),
+        "degenerate": degenerate,
+    }

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from catci import tabulate
 from catci.citest import (
     ChiSquaredDist,
     batch_screen,
@@ -17,10 +21,11 @@ from catci.citest import (
     log_sf_chisq,
 )
 from catci.core import CategoricalColumn, DataError, Dataset, SpecError, TestSpec
+from catci.loglinear import ipf_fit
 from catci.tabulate import build_table, expected_ci, slice_marginals, table_from_counts
 
 from conftest import make_dataset, permute_column_levels
-from oracles import log_sf_quadrature
+from oracles import ci_occupied_bruteforce, log_sf_quadrature
 
 # Frozen by hand: 2*(40*ln(20/25) + 60*ln(30/25)) for the table [[20,30],[30,20]]
 G2_CROSSED = 4.027102710137775
@@ -324,22 +329,118 @@ class TestCiTest:
         assert joint.g2 == pytest.approx(g2_sum, rel=1e-9, abs=1e-9)
         assert joint.chi2 == pytest.approx(chi2_sum, rel=1e-9, abs=1e-9)
 
-    def test_sparse_storage_path_agrees(self, rng, monkeypatch):
-        data = make_dataset(rng, 800, (3, 4, 2, 4))
-        spec = TestSpec(0, 1, (2, 3))
-        dense_result = ci_test(data, spec)
-        monkeypatch.setattr("catci.core.DENSE_CELL_LIMIT", 1)
-        sparse_result = ci_test(data, spec)
-        assert sparse_result.g2 == pytest.approx(dense_result.g2, rel=1e-10)
-        assert sparse_result.chi2 == pytest.approx(dense_result.chi2, rel=1e-10)
-        assert sparse_result.dof == dense_result.dof
-        assert sparse_result.empty_strata == dense_result.empty_strata
+    def test_high_cardinality_z_matches_oracle(self, rng):
+        # 4**10 nominal strata against 800 rows: nearly every stratum is empty
+        data = make_dataset(rng, 800, (3, 4) + (4,) * 10)
+        spec = TestSpec(0, 1, tuple(range(2, 12)))
+        assert_matches_oracle(ci_test(data, spec), ci_occupied_bruteforce(data, spec))
 
-    def test_sparse_storage_rejects_ipf(self, rng, monkeypatch):
-        data = make_dataset(rng, 100, (3, 4, 2))
-        monkeypatch.setattr("catci.core.DENSE_CELL_LIMIT", 1)
-        with pytest.raises(DataError, match="dense"):
-            ci_test(data, TestSpec(0, 1, (2,)), method="ipf")
+    def test_high_cardinality_z_ipf_agrees(self, rng):
+        data = make_dataset(rng, 800, (3, 4) + (4,) * 10)
+        spec = TestSpec(0, 1, tuple(range(2, 12)))
+        closed = ci_test(data, spec)
+        ipf = ci_test(data, spec, method="ipf")
+        assert ipf.g2 == pytest.approx(closed.g2, rel=1e-8, abs=1e-12)
+        assert ipf.chi2 == pytest.approx(closed.chi2, rel=1e-8, abs=1e-12)
+        assert (ipf.dof, ipf.dof_adjusted, ipf.empty_strata) == (
+            closed.dof, closed.dof_adjusted, closed.empty_strata
+        )
+
+    def test_unconverged_ipf_is_data_error(self, small_dataset, monkeypatch):
+        real_fit = ipf_fit
+
+        def stalled(table, model):
+            return dataclasses.replace(real_fit(table, model), iterations=50, converged=False)
+
+        monkeypatch.setattr("catci.loglinear.ipf_fit", stalled)
+        with pytest.raises(DataError, match="50 iterations"):
+            ci_test(small_dataset, TestSpec(0, 1, (2,)), method="ipf")
+
+
+def assert_matches_oracle(result, ref):
+    assert result.g2 == pytest.approx(ref["g2"], rel=1e-9, abs=1e-9)
+    assert result.chi2 == pytest.approx(ref["chi2"], rel=1e-9, abs=1e-9)
+    for field in ("dof", "dof_adjusted", "empty_strata", "degenerate"):
+        assert getattr(result, field) == ref[field], field
+
+
+@st.composite
+def kernel_datasets(draw):
+    """Small datasets with unused labelled levels and wide or narrow Z columns."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(0, 5))
+    used = draw(st.lists(st.sampled_from([1, 2, 3, 4, 9, 25]), min_size=k + 2, max_size=k + 2))
+    unused = draw(st.lists(st.integers(0, 3), min_size=k + 2, max_size=k + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = tuple(
+        CategoricalColumn(
+            f"V{j}", u + e, rng.integers(0, u, size=n), labels=tuple(map(str, range(u + e)))
+        )
+        for j, (u, e) in enumerate(zip(used, unused))
+    )
+    return Dataset(n, columns), TestSpec(0, 1, tuple(range(2, k + 2)))
+
+
+class TestOccupiedStrataKernel:
+    """ci_test against the occupied-cells oracle, through both counting branches."""
+
+    @pytest.mark.parametrize("span", [0, tabulate._BINCOUNT_SPAN, 1 << 40])
+    @given(case=kernel_datasets())
+    def test_matches_oracle(self, span, case):
+        data, spec = case
+        with mock.patch.object(tabulate, "_BINCOUNT_SPAN", span):
+            result = ci_test(data, spec)
+        assert_matches_oracle(result, ci_occupied_bruteforce(data, spec))
+
+    def test_single_row(self):
+        data = make_dataset(np.random.default_rng(0), 1, (3, 4, 2, 5))
+        spec = TestSpec(0, 1, (2, 3))
+        assert_matches_oracle(ci_test(data, spec), ci_occupied_bruteforce(data, spec))
+
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_degenerate_x_or_y(self, rng, constant):
+        data = make_dataset(rng, 200, (3, 4, 4, 4))
+        cols = list(data.columns)
+        cols[constant] = CategoricalColumn("c", 1, np.zeros(200, dtype=np.int64))
+        data = Dataset(200, tuple(cols))
+        spec = TestSpec(0, 1, (2, 3))
+        result = ci_test(data, spec)
+        assert result.degenerate
+        assert_matches_oracle(result, ci_occupied_bruteforce(data, spec))
+
+    def test_cell_space_beyond_int64(self, rng):
+        # 4**40 = 2**80 nominal strata, of which only Z1's four occur: X and Y
+        # both follow Z1, so merging its strata would make them look dependent.
+        n = 300
+        z1 = rng.integers(0, 4, size=n)
+        labels = ("0", "1", "2", "3")
+        columns = (
+            CategoricalColumn("X", 3, (z1 + rng.integers(0, 2, size=n)) % 3),
+            CategoricalColumn("Y", 4, (z1 + rng.integers(0, 2, size=n)) % 4),
+            CategoricalColumn("Z1", 4, z1),
+        ) + tuple(
+            CategoricalColumn(f"Z{j}", 4, np.zeros(n, dtype=np.int64), labels=labels)
+            for j in range(2, 41)
+        )
+        data = Dataset(n, columns)
+        spec = TestSpec(0, 1, tuple(range(2, 42)))
+        closed = ci_test(data, spec)
+        assert_matches_oracle(closed, ci_occupied_bruteforce(data, spec))
+        assert closed.empty_strata == 4**40 - 4
+        ipf = ci_test(data, spec, method="ipf")
+        assert ipf.g2 == pytest.approx(closed.g2, rel=1e-8, abs=1e-12)
+
+    def test_memory_tracks_rows_not_nominal_cells(self, rng):
+        # 3 * 4 * 4**10 = 12.6M nominal cells; the kernel needs a few arrays of n
+        data = make_dataset(rng, 3000, (3, 4) + (4,) * 10)
+        spec = TestSpec(0, 1, tuple(range(2, 12)))
+        tracemalloc.start()
+        try:
+            ci_test(data, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestBatchScreen:

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from catci import loglinear
 from catci.cli import main
 from catci.io import GenConfig, generate, write_delimited
 
@@ -143,6 +145,20 @@ class TestCmdTest:
         a, b = json.loads(closed), json.loads(via_ipf)
         assert b["method"] == "ipf"
         assert b["g2"] == pytest.approx(a["g2"], rel=1e-8)
+
+    def test_unconverged_ipf_is_data_error(self, data_file, capsys, monkeypatch):
+        real_fit = loglinear.ipf_fit
+
+        def stalled(table, model):
+            return dataclasses.replace(real_fit(table, model), converged=False)
+
+        monkeypatch.setattr(loglinear, "ipf_fit", stalled)
+        code, out, err = run_cli(
+            capsys,
+            ["test", "--data", data_file, "--x", "X", "--y", "Y", "--method", "ipf"],
+        )
+        assert code == 3
+        assert out == "" and "converge" in err
 
 
 class TestCmdBatch:
