@@ -47,10 +47,18 @@ def _parse_cs(arg: str | None, data: Dataset) -> tuple[int, ...]:
     return tuple(_resolve_column(tok.strip(), data) for tok in arg.split(",") if tok.strip())
 
 
+def _delimiter(text: str) -> str:
+    delimiter = "\t" if text == "tab" else text
+    try:
+        io_mod.check_delimiter(delimiter)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return delimiter
+
+
 def _load_dataset(args: argparse.Namespace) -> Dataset:
-    delimiter = "\t" if args.delimiter == "tab" else args.delimiter
     return io_mod.read_delimited(
-        args.data, delimiter=delimiter, has_header=not args.no_header
+        args.data, delimiter=args.delimiter, has_header=not args.no_header
     )
 
 
@@ -112,6 +120,10 @@ def _read_pairs(args: argparse.Namespace, data: Dataset) -> list[TestSpec]:
         text = Path(args.pairs).read_text(encoding="utf-8")
     except OSError as err:
         raise DataError(f"cannot read pairs file {args.pairs}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise DataError(
+            f"cannot read pairs file {args.pairs}: invalid UTF-8 at byte {err.start}"
+        ) from err
     specs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -210,7 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_data_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--data", required=True, help="delimited text dataset")
-        p.add_argument("--delimiter", default=",", help="field delimiter ('tab' for tabs)")
+        p.add_argument("--delimiter", default=",", type=_delimiter,
+                       help="one-character field delimiter ('tab' for tabs)")
         p.add_argument("--no-header", action="store_true", help="data has no header row")
 
     p_test = sub.add_parser("test", help="one conditional independence test")

@@ -86,17 +86,12 @@ class CategoricalColumn:
     @classmethod
     def from_tokens(cls, name: str, tokens: Sequence[str]) -> "CategoricalColumn":
         """Factorize raw tokens to codes in first-appearance order."""
-        mapping: dict[str, int] = {}
-        codes = np.empty(len(tokens), dtype=np.int64)
-        for i, tok in enumerate(tokens):
-            code = mapping.get(tok)
-            if code is None:
-                code = len(mapping)
-                mapping[tok] = code
-            codes[i] = code
-        if not mapping:
+        labels = tuple(dict.fromkeys(tokens))
+        if not labels:
             raise DataError(f"column {name!r}: no observations to factorize")
-        return cls(name=name, levels=len(mapping), codes=codes, labels=tuple(mapping))
+        lut = dict(zip(labels, range(len(labels))))
+        codes = np.fromiter(map(lut.__getitem__, tokens), np.int64, count=len(tokens))
+        return cls(name=name, levels=len(labels), codes=codes, labels=labels)
 
     def token(self, code: int) -> str:
         """Original label for ``code`` (its decimal string when unlabeled)."""

@@ -1,7 +1,8 @@
 """Delimited-text ingestion, serialization, and synthetic scenario generation.
 
-File format: UTF-8 text, one observation per row, fields split on a single
-delimiter character (comma by default, no quoting — tokens must not contain
+File format: UTF-8 text (a leading byte-order mark is ignored), one
+observation per row, fields split on a single delimiter character that is
+not a line break (comma by default, no quoting — tokens must not contain
 the delimiter), first line an optional header.  Columns are factorized to
 0-based codes in first-appearance order.
 
@@ -130,11 +131,53 @@ def generate(config: GenConfig) -> Dataset:
 
 def _read_text(source: str | Path | IO[str]) -> str:
     if hasattr(source, "read"):
-        return source.read()
-    try:
-        return Path(source).read_text(encoding="utf-8")
-    except OSError as err:
-        raise DataError(f"cannot read {source}: {err}") from err
+        text = source.read()
+    else:
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except OSError as err:
+            raise DataError(f"cannot read {source}: {err}") from err
+        except UnicodeDecodeError as err:
+            raise DataError(f"cannot read {source}: invalid UTF-8 at byte {err.start}") from err
+    return text.removeprefix("\ufeff")
+
+
+def check_delimiter(delimiter: str) -> None:
+    """Raise ValueError unless ``delimiter`` is one character that does not break lines."""
+    if len(delimiter) != 1 or delimiter.splitlines() != [delimiter]:
+        raise ValueError(
+            f"delimiter must be one character that is not a line break, got {delimiter!r}"
+        )
+
+
+def _first_line_error(chars: np.ndarray, delimiter: str) -> str | None:
+    """Message for the first ragged row or empty field, or None if there is none.
+
+    ``chars`` holds the code points of the lines joined by "\\n".  A line is
+    ragged when its field count differs from the first line's; on one line a
+    ragged row is reported before a missing value.
+    """
+    is_sep = (chars == ord(delimiter)) | (chars == ord("\n"))
+    sep = np.flatnonzero(is_sep)  # field k ends at sep[k], the last one at chars.size
+    last_field = np.append(np.flatnonzero(chars[sep] == ord("\n")), sep.size)
+    n_fields = np.diff(last_field, prepend=-1)
+    ragged = np.flatnonzero(n_fields != n_fields[0])
+    # A field is empty where two separators meet or one sits at either end.
+    bounds = np.ones(chars.size + 2, dtype=bool)
+    bounds[1:-1] = is_sep
+    empty = np.flatnonzero(bounds[:-1] & bounds[1:])  # where each empty field ends
+    if empty.size:
+        field = int(np.searchsorted(sep, empty[0]))
+        empty_line = int(np.searchsorted(last_field, field))
+    else:
+        empty_line = last_field.size
+    if ragged.size and ragged[0] <= empty_line:
+        line = int(ragged[0])
+        return f"line {line + 1}: expected {int(n_fields[0])} fields, found {int(n_fields[line])}"
+    if empty.size:
+        first_field = int(last_field[empty_line - 1]) + 1 if empty_line else 0
+        return f"line {empty_line + 1}: missing value in field {field - first_field + 1}"
+    return None
 
 
 def read_delimited(
@@ -145,46 +188,44 @@ def read_delimited(
 ) -> Dataset:
     """Parse a delimited text table into a factorized :class:`Dataset`.
 
-    Raises DataError for empty input, ragged rows, or empty fields, naming
-    the offending physical line.
+    Lines are those of ``str.splitlines``; one trailing empty line and one
+    leading byte-order mark are ignored.  Raises ValueError unless the
+    delimiter is one character that is not a line break, and DataError for
+    unreadable or empty input, ragged rows, empty fields (naming the first
+    offending physical line) or a duplicate header name.
     """
-    text = _read_text(source)
-    lines = text.splitlines()
-    if not lines or all(not ln for ln in lines):
+    check_delimiter(delimiter)
+    lines = _read_text(source).splitlines()
+    if not any(lines):
         raise DataError("empty input")
+    if lines[-1] == "":
+        lines.pop()  # trailing newline
+    n_lines = len(lines)
+    joined = "\n".join(lines)
+    del lines
+    error = _first_line_error(np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32), delimiter)
+    if error is not None:
+        raise DataError(error)
 
-    rows: list[list[str]] = []
-    names: list[str] | None = None
-    width: int | None = None
-    for lineno, line in enumerate(lines, start=1):
-        if line == "" and lineno == len(lines):
-            break  # trailing newline
-        fields = line.split(delimiter)
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise DataError(f"line {lineno}: expected {width} fields, found {len(fields)}")
-        for j, tok in enumerate(fields):
-            if tok == "":
-                raise DataError(f"line {lineno}: missing value in field {j + 1}")
-        if has_header and names is None:
-            names = fields
-        else:
-            rows.append(fields)
-
-    if has_header and names is not None and len(set(names)) != len(names):
-        dup = next(nm for i, nm in enumerate(names) if nm in names[:i])
-        raise DataError(f"duplicate column name {dup!r} in header")
-    if not rows:
+    tokens = joined.replace("\n", delimiter).split(delimiter)
+    del joined
+    width = len(tokens) // n_lines
+    if has_header:
+        names = tokens[:width]
+        if len(set(names)) != width:
+            dup = next(nm for i, nm in enumerate(names) if nm in names[:i])
+            raise DataError(f"duplicate column name {dup!r} in header")
+        start, n_rows = width, n_lines - 1
+    else:
+        names = [f"V{j + 1}" for j in range(width)]
+        start, n_rows = 0, n_lines
+    if not n_rows:
         raise DataError("empty input: no data rows")
-    if names is None:
-        names = [f"V{j + 1}" for j in range(width or 0)]
-
     columns = tuple(
-        CategoricalColumn.from_tokens(name, column_tokens)
-        for name, column_tokens in zip(names, zip(*rows))
+        CategoricalColumn.from_tokens(name, tokens[start + j :: width])
+        for j, name in enumerate(names)
     )
-    return Dataset(n_rows=len(rows), columns=columns)
+    return Dataset(n_rows=n_rows, columns=columns)
 
 
 def write_delimited(

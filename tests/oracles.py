@@ -141,3 +141,63 @@ def ci_occupied_bruteforce(data, spec):
         "empty_strata": nominal - len(n_z),
         "degenerate": degenerate,
     }
+
+
+def read_delimited_reference(text, *, delimiter=",", has_header=True):
+    """Line-by-line parse of delimited ``text``, factorizing with a plain dict.
+
+    Same contract as ``catci.io.read_delimited`` on already-read text: one
+    leading byte-order mark and one trailing empty line are ignored, and the
+    first offending line's error is raised (ragged before missing value on
+    one line), ahead of the duplicate-header check.
+    """
+    from catci.core import CategoricalColumn, DataError, Dataset
+
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    lines = text.splitlines()
+    if not lines or all(not ln for ln in lines):
+        raise DataError("empty input")
+
+    rows = []
+    names = None
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        if line == "" and lineno == len(lines):
+            break  # trailing newline
+        fields = line.split(delimiter)
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise DataError(f"line {lineno}: expected {width} fields, found {len(fields)}")
+        for j, tok in enumerate(fields):
+            if tok == "":
+                raise DataError(f"line {lineno}: missing value in field {j + 1}")
+        if has_header and names is None:
+            names = fields
+        else:
+            rows.append(fields)
+
+    if has_header and names is not None and len(set(names)) != len(names):
+        dup = next(nm for i, nm in enumerate(names) if nm in names[:i])
+        raise DataError(f"duplicate column name {dup!r} in header")
+    if not rows:
+        raise DataError("empty input: no data rows")
+    if names is None:
+        names = [f"V{j + 1}" for j in range(width)]
+
+    columns = []
+    for j, name in enumerate(names):
+        mapping = {}
+        codes = []
+        for row in rows:
+            codes.append(mapping.setdefault(row[j], len(mapping)))
+        columns.append(
+            CategoricalColumn(
+                name=name,
+                levels=len(mapping),
+                codes=np.array(codes, dtype=np.int64),
+                labels=tuple(mapping),
+            )
+        )
+    return Dataset(n_rows=len(rows), columns=tuple(columns))

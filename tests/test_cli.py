@@ -112,6 +112,27 @@ class TestCmdTest:
             main(["test", "--data", data_file, "--x", "X", "--y", "Y", "--format", "xml"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("delimiter", ["", ";;", "\n"])
+    def test_bad_delimiter_usage_exit_2(self, data_file, capsys, delimiter):
+        with pytest.raises(SystemExit) as err:
+            main(["test", "--data", data_file, "--x", "X", "--y", "Y", "--delimiter", delimiter])
+        assert err.value.code == 2
+        assert "error: argument --delimiter: delimiter must be one character" in capsys.readouterr().err
+
+    def test_invalid_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\nx,1\n\xff,2\n")
+        code, _, err = run_cli(capsys, ["test", "--data", str(path), "--x", "a", "--y", "b"])
+        assert code == 3
+        assert f"error: cannot read {path}: invalid UTF-8 at byte 8" in err
+
+    def test_leading_bom_ignored(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffa,b\nu,1\nv,2\nu,1\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, ["test", "--data", str(path), "--x", "a", "--y", "b"])
+        assert code == 0
+        assert json.loads(out)["x"] == "a"
+
     def test_tsv_format(self, data_file, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -219,6 +240,13 @@ class TestCmdBatch:
         code, _, err = run_cli(capsys, ["batch", "--data", wide_file, "--pairs", str(pairs)])
         assert code == 4
         assert "pair 1" in err
+
+    def test_pairs_file_invalid_utf8_is_data_error(self, wide_file, tmp_path, capsys):
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_bytes(b"X Y\nX \xfe\n")
+        code, _, err = run_cli(capsys, ["batch", "--data", wide_file, "--pairs", str(pairs)])
+        assert code == 3
+        assert f"error: cannot read pairs file {pairs}: invalid UTF-8 at byte 6" in err
 
     def test_tsv_format(self, wide_file, capsys):
         _, out, _ = run_cli(

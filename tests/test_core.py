@@ -57,6 +57,33 @@ class TestCategoricalColumn:
         assert [col.token(c) for c in col.codes] == tokens
         assert col.tokens() == tokens
 
+    @given(
+        st.lists(
+            st.integers(0, 400).map(lambda i: ("é", "日", "\U0001f600", "x")[i % 4] * (1 + i // 4)),
+            min_size=1,
+            max_size=1500,
+        )
+    )
+    def test_factorize_non_ascii_many_levels(self, tokens):
+        first_seen = []
+        for tok in tokens:
+            if tok not in first_seen:
+                first_seen.append(tok)
+        col = CategoricalColumn.from_tokens("v", tokens)
+        assert col.labels == tuple(first_seen)
+        assert col.codes.tolist() == [first_seen.index(tok) for tok in tokens]
+
+    def test_factorize_more_than_256_levels(self):
+        tokens = [f"ü{i % 300}" for i in range(900)]
+        col = CategoricalColumn.from_tokens("v", tokens)
+        assert col.levels == 300
+        assert col.codes.tolist() == [i % 300 for i in range(900)]
+        assert col.tokens() == tokens
+
+    def test_factorize_empty_rejected(self):
+        with pytest.raises(DataError, match="no observations"):
+            CategoricalColumn.from_tokens("v", [])
+
 
 class TestDataset:
     def test_row_count_mismatch(self):

@@ -10,6 +10,13 @@ from catci.citest import ci_test
 from catci.core import DataError, TestSpec
 from catci.io import DEPENDENT_MIX_WEIGHT, GenConfig, generate, read_delimited, write_delimited
 
+from oracles import read_delimited_reference
+
+# Pieces of random input text: line breaks splitlines knows, a space, a
+# byte-order mark and non-ASCII tokens (two-byte, CJK, outside the BMP).
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b"]
+_TOKENS = ["a", "b", "é", "日本", "\U0001f600", " ", "\ufeff"]
+
 
 def _read(text, **kw):
     return read_delimited(stringio.StringIO(text), **kw)
@@ -70,6 +77,101 @@ class TestReadDelimited:
         first = _read(text)
         second = _read(_write(first))
         assert first == second
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except DataError as err:
+        return f"DataError: {err}"
+
+
+@st.composite
+def _delimited_inputs(draw):
+    """(text, delimiter, has_header): free-form character soup or near-regular rows."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    has_header = draw(st.booleans())
+    if draw(st.booleans()):
+        pieces = st.sampled_from(_LINE_BREAKS + _TOKENS + [delimiter] * 3)
+        return "".join(draw(st.lists(pieces, max_size=40))), delimiter, has_header
+    width = draw(st.integers(1, 4))
+    token = st.sampled_from(_TOKENS * 3 + [""])
+    lines = []
+    for r in range(draw(st.integers(1, 8))):
+        w = width if draw(st.integers(0, 5)) else draw(st.integers(1, 5))
+        if r == 0 and has_header and draw(st.booleans()):
+            fields = draw(st.lists(st.sampled_from(_TOKENS), min_size=w, max_size=w, unique=True))
+        else:
+            fields = draw(st.lists(token, min_size=w, max_size=w))
+        lines.append(delimiter.join(fields) + draw(st.sampled_from(_LINE_BREAKS)))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("".join(_LINE_BREAKS))
+    return text + draw(st.sampled_from(["", *_LINE_BREAKS])), delimiter, has_header
+
+
+class TestReaderAgainstReference:
+    @given(_delimited_inputs())
+    @settings(max_examples=400)
+    def test_same_dataset_or_same_error(self, case):
+        text, delimiter, has_header = case
+        kw = dict(delimiter=delimiter, has_header=has_header)
+        assert _outcome(lambda: _read(text, **kw)) == _outcome(
+            lambda: read_delimited_reference(text, **kw)
+        )
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            (None, None),
+            ("日本;\U0001f600", "line 199992: expected 3 fields, found 2"),
+            ("é;;\U0001f600", "line 199992: missing value in field 2"),
+            ("é;\U0001f600;", "line 199992: missing value in field 3"),
+        ],
+    )
+    def test_large_file_with_late_non_ascii(self, bad_row, message):
+        # 200k rows of ASCII, then non-ASCII tokens from row 199,980 on: code
+        # points beyond one byte (and beyond the BMP) shift byte offsets but
+        # must not shift line and field numbers.
+        rows = [f"r{i % 7};s{i % 5};t{i % 3}" for i in range(199_980)]
+        rows += ["é;日本;\U0001f600", "\U0001f600;é;日本"] * 10
+        if bad_row is not None:
+            rows[199_990] = bad_row
+        text = "x;y;z\n" + "\n".join(rows) + "\n"
+        got = _outcome(lambda: _read(text, delimiter=";"))
+        assert got == _outcome(lambda: read_delimited_reference(text, delimiter=";"))
+        if message is None:
+            assert got.n_rows == 200_000
+            assert got.columns[2].labels[-2:] == ("\U0001f600", "日本")
+        else:
+            assert got == f"DataError: {message}"
+
+
+class TestReaderInputChecks:
+    @pytest.mark.parametrize("delimiter", ["", ",,", "ab", "\n", "\r", "\x0b", "\x1e", "\u2028"])
+    def test_bad_delimiter_rejected(self, delimiter):
+        with pytest.raises(ValueError, match="delimiter must be one character") as err:
+            _read("a,b\n1,2\n", delimiter=delimiter)
+        assert not isinstance(err.value, DataError)
+
+    @pytest.mark.parametrize("delimiter", [";", "|", " ", "é", "\U0001f600"])
+    def test_any_other_single_character_accepted(self, delimiter):
+        ds = _read(f"a{delimiter}b\nu{delimiter}v\n", delimiter=delimiter)
+        assert ds.column_names == ("a", "b")
+
+    def test_leading_bom_ignored(self, tmp_path):
+        text = "\ufeffa,b\nx,\ufeff1\n"
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8")
+        for ds in (read_delimited(path), _read(text)):
+            assert ds.column_names == ("a", "b")
+            assert ds.columns[1].labels == ("\ufeff1",)  # only the leading one goes
+
+    def test_invalid_utf8_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b\n" + b"x,1\n" * 30_000 + b"\xff,2\n")
+        with pytest.raises(DataError, match=rf"{path.name}.*invalid UTF-8 at byte 120004"):
+            read_delimited(path)
 
 
 class TestWriteDelimited:
