@@ -8,7 +8,6 @@ timing benchmark harness.
 
 from .bench import BenchConfig, BenchRecord, emit_report, run_bench
 from .citest import (
-    ChiSquaredDist,
     batch_screen,
     chi2_statistic,
     ci_test,
@@ -39,7 +38,6 @@ __all__ = [
     "BenchConfig",
     "BenchRecord",
     "CategoricalColumn",
-    "ChiSquaredDist",
     "ContingencyTable",
     "DataError",
     "Dataset",

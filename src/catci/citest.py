@@ -2,7 +2,9 @@
 
 The closed-form route tabulates (x, y) within the occupied strata of
 z_1..z_k in one pass, derives the slice marginals from the occupied cells
-and sums the statistics over those cells alone; the ipf route fits the
+and sums the statistics over those cells alone; pairs that share z_1..z_k
+share its index and one vectorised pass over their stacked cells, and a
+single test is the batch of one.  The ipf route fits the
 conditional-independence log-linear model to the same compressed table
 instead.  Both agree to floating precision.
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,20 +36,6 @@ from .tabulate import SliceMarginals
 
 _SERIES_MAX_TERMS = 100_000
 _CF_MAX_TERMS = 100_000
-
-
-@dataclass(frozen=True)
-class ChiSquaredDist:
-    """Reference chi-squared distribution with ``dof`` degrees of freedom."""
-
-    dof: int
-
-    def __post_init__(self) -> None:
-        if self.dof < 1:
-            raise ValueError(f"dof must be >= 1, got {self.dof}")
-
-    def log_sf(self, stat: float) -> float:
-        return log_sf_chisq(stat, self.dof)
 
 
 def _flat_counts(observed: ContingencyTable | np.ndarray) -> np.ndarray:
@@ -192,24 +179,128 @@ def _log_gamma_upper_cf(a: float, x: float) -> float:
     return a * math.log(x) - x - math.lgamma(a) + math.log(h)
 
 
-def _closed_form(cells: tabulate.OccupiedCells) -> tuple[float, float]:
-    """G² and χ² summed over occupied cells, from marginals derived from them.
+def _closed_form(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
+    """G² and χ² of every table in a stack, from marginals derived from its cells.
 
     Within a stratum the expectations sum to the observed total, so
     Σ (N - E)² / E over all cells with E > 0 equals Σ N² / E - n, and only
-    occupied cells enter that sum.
+    occupied cells enter that sum.  The terms of the whole stack come from
+    one vectorised pass; each table's are then summed exactly, so its
+    statistics do not depend on the other tables in the stack.
     """
     dx, dy = cells.dims_xy
     n = cells.count.astype(np.float64)
     xz = cells.stratum * dx + cells.x
     yz = cells.stratum * dy + cells.y
-    n_xz = np.bincount(xz, weights=n, minlength=cells.n_strata * dx)
-    n_yz = np.bincount(yz, weights=n, minlength=cells.n_strata * dy)
-    n_z = np.bincount(cells.stratum, weights=n, minlength=cells.n_strata)
+    n_xz = np.bincount(xz, weights=n)
+    n_yz = np.bincount(yz, weights=n)
+    n_z = np.bincount(cells.stratum, weights=n)
     e = n_xz[xz] * n_yz[yz] / n_z[cells.stratum]
-    g2 = max(0.0, math.fsum((2.0 * n * np.log(n / e)).tolist()))
-    chi2 = max(0.0, math.fsum((n * n / e).tolist()) - cells.total)
-    return g2, chi2
+    g2_terms = (2.0 * n * np.log(n / e)).tolist()
+    chi2_terms = (n * n / e).tolist()
+    bounds = cells.bounds
+    if len(bounds) == 2:  # one table: sum the whole lists, not copies
+        tables = [(g2_terms, chi2_terms)]
+    else:
+        tables = [(g2_terms[a:b], chi2_terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [
+        (max(0.0, math.fsum(g2)), max(0.0, math.fsum(chi2) - cells.total)) for g2, chi2 in tables
+    ]
+
+
+def _result(
+    dims_xy: tuple[int, int],
+    strata_nominal: int,
+    n_strata: int,
+    stats: tuple[float, float],
+    method: str,
+    adjust_dof: bool,
+) -> TestResult:
+    """The ``TestResult`` of one table from its shape, strata and statistics."""
+    dx, dy = dims_xy
+    empty_strata = strata_nominal - n_strata
+    if dx == 1 or dy == 1:
+        return TestResult(
+            g2=0.0,
+            chi2=0.0,
+            dof=0,
+            dof_adjusted=0,
+            log_p_g2=0.0,
+            log_p_chi2=0.0,
+            empty_strata=empty_strata,
+            method=method,
+            degenerate=True,
+        )
+    g2, chi2 = stats
+    nominal_dof = (dx - 1) * (dy - 1) * strata_nominal
+    adj_dof = (dx - 1) * (dy - 1) * n_strata
+    used_dof = adj_dof if adjust_dof else nominal_dof
+    return TestResult(
+        g2=g2,
+        chi2=chi2,
+        dof=nominal_dof,
+        dof_adjusted=adj_dof,
+        log_p_g2=log_sf_chisq(g2, used_dof),
+        log_p_chi2=log_sf_chisq(chi2, used_dof),
+        empty_strata=empty_strata,
+        method=method,
+    )
+
+
+def _ipf_test(data: Dataset, spec: TestSpec, adjust_dof: bool) -> TestResult:
+    cells = tabulate.occupied_cells(data, spec.x, spec.y, spec.cs)
+    stats = (0.0, 0.0)
+    if 1 not in cells.dims_xy:
+        # Both classes of the CI model contain Z, so fitting over the occupied
+        # strata alone leaves the fitted means and deviance unchanged.
+        fit = loglinear.ipf_fit(cells.as_table(), loglinear.ci_model(1))
+        if not fit.converged:
+            raise DataError(f"ipf fit did not converge within {fit.iterations} iterations")
+        stats = fit.deviance, fit.pearson
+    strata_nominal = math.prod(data.levels(c) for c in spec.cs)
+    return _result(cells.dims_xy, strata_nominal, cells.n_strata, stats, "ipf", adjust_dof)
+
+
+def _screen(
+    data: Dataset, cs: tuple[int, ...], specs: list[TestSpec], adjust_dof: bool
+) -> list[TestResult]:
+    """Closed-form results, in order, of ``specs`` that all condition on ``cs``."""
+    strata_nominal = math.prod([data.levels(c) for c in cs])
+    results: list[TestResult | None] = [None] * len(specs)
+    for positions, cells in tabulate.stacked_cells(data, cs, [(s.x, s.y) for s in specs]):
+        for k, stats in zip(positions, _closed_form(cells)):
+            results[k] = _result(
+                cells.dims_xy, strata_nominal, cells.n_strata, stats, "closed_form", adjust_dof
+            )
+    return results
+
+
+def _run(data: Dataset, specs: list[TestSpec], method: str, adjust_dof: bool) -> list[TestResult]:
+    """Results of validated ``specs`` in order.
+
+    The closed form groups the specs by conditioning set, so each set is
+    indexed once and the pairs that share it are computed together; ipf
+    fits one table per spec.
+    """
+    if specs and data.n_rows == 0:
+        raise DataError("dataset is empty")
+    if method == "ipf":
+        return [_ipf_test(data, spec, adjust_dof) for spec in specs]
+    if len(specs) == 1:
+        return _screen(data, specs[0].cs, specs, adjust_dof)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(spec.cs, []).append(i)
+    results: list[TestResult | None] = [None] * len(specs)
+    for cs, members in groups.items():
+        for i, result in zip(members, _screen(data, cs, [specs[i] for i in members], adjust_dof)):
+            results[i] = result
+    return results
+
+
+def _check_method(method: str) -> None:
+    if method not in ("closed_form", "ipf"):
+        raise ValueError(f"method must be 'closed_form' or 'ipf', got {method!r}")
 
 
 def ci_test(
@@ -225,55 +316,11 @@ def ci_test(
     independence test (never continuity-corrected) with
     ``dof = (|X|-1)(|Y|-1)``.  ``adjust_dof`` selects the empty-stratum
     corrected dof for the p-values; the nominal formula is the default.
+    This is :func:`batch_screen` with a batch of one.
     """
-    if method not in ("closed_form", "ipf"):
-        raise ValueError(f"method must be 'closed_form' or 'ipf', got {method!r}")
+    _check_method(method)
     validate_spec(spec, data)
-    if data.n_rows == 0:
-        raise DataError("dataset is empty")
-
-    levels_x = data.levels(spec.x)
-    levels_y = data.levels(spec.y)
-    levels_cs = [data.levels(c) for c in spec.cs]
-    cells = tabulate.occupied_cells(data, spec.x, spec.y, spec.cs)
-    empty_strata = math.prod(levels_cs) - cells.n_strata
-    nominal_dof = dof(levels_x, levels_y, levels_cs)
-    adj_dof = (levels_x - 1) * (levels_y - 1) * cells.n_strata
-
-    if levels_x == 1 or levels_y == 1:
-        return TestResult(
-            g2=0.0,
-            chi2=0.0,
-            dof=0,
-            dof_adjusted=0,
-            log_p_g2=0.0,
-            log_p_chi2=0.0,
-            empty_strata=empty_strata,
-            method=method,
-            degenerate=True,
-        )
-
-    if method == "ipf":
-        # Both classes of the CI model contain Z, so fitting over the
-        # occupied strata alone leaves the fitted means and deviance unchanged.
-        fit = loglinear.ipf_fit(cells.as_table(), loglinear.ci_model(1))
-        if not fit.converged:
-            raise DataError(f"ipf fit did not converge within {fit.iterations} iterations")
-        g2, chi2 = fit.deviance, fit.pearson
-    else:
-        g2, chi2 = _closed_form(cells)
-
-    used_dof = adj_dof if adjust_dof else nominal_dof
-    return TestResult(
-        g2=g2,
-        chi2=chi2,
-        dof=nominal_dof,
-        dof_adjusted=adj_dof,
-        log_p_g2=log_sf_chisq(g2, used_dof),
-        log_p_chi2=log_sf_chisq(chi2, used_dof),
-        empty_strata=empty_strata,
-        method=method,
-    )
+    return _run(data, [spec], method, adjust_dof)[0]
 
 
 # Worker-process state for batch screening: the dataset is shipped once per
@@ -288,11 +335,7 @@ def _batch_init(data: Dataset, method: str, adjust_dof: bool) -> None:
 
 
 def _batch_chunk(specs: list[TestSpec]) -> list[TestResult]:
-    data = _WORKER["data"]
-    return [
-        ci_test(data, s, method=_WORKER["method"], adjust_dof=_WORKER["adjust_dof"])
-        for s in specs
-    ]
+    return _run(_WORKER["data"], specs, _WORKER["method"], _WORKER["adjust_dof"])
 
 
 def batch_screen(
@@ -305,12 +348,13 @@ def batch_screen(
 ) -> list[TestResult]:
     """Run many tests and return results in input order.
 
+    Specs that share a conditioning set share one Z index, and their
+    closed-form statistics are computed together (see :func:`_run`).
     Results are identical to standalone :func:`ci_test` calls regardless of
-    ``workers``; the pool only distributes independent specs and reassembles
-    them deterministically.
+    ``workers`` and of which specs are batched together; the pool only
+    distributes independent chunks of specs and reassembles them in order.
     """
-    if method not in ("closed_form", "ipf"):
-        raise ValueError(f"method must be 'closed_form' or 'ipf', got {method!r}")
+    _check_method(method)
     pairs = list(pairs)
     for position, spec in enumerate(pairs):
         try:
@@ -319,7 +363,7 @@ def batch_screen(
             raise SpecError(f"pair {position}: {err}") from None
 
     if workers <= 1 or len(pairs) <= 1:
-        return [ci_test(data, s, method=method, adjust_dof=adjust_dof) for s in pairs]
+        return _run(data, pairs, method, adjust_dof)
 
     chunk_size = max(1, math.ceil(len(pairs) / (workers * 4)))
     chunks = [pairs[i : i + chunk_size] for i in range(0, len(pairs), chunk_size)]

@@ -79,6 +79,7 @@ def _result_fields(data: Dataset, spec: TestSpec, res: TestResult) -> dict:
         "log_p_chi2": res.log_p_chi2,
         "empty_strata": res.empty_strata,
         "method": res.method,
+        "degenerate": res.degenerate,
     }
 
 
@@ -99,6 +100,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     )
     res = ci_test(data, spec, method=_method_name(args.method), adjust_dof=args.adjust_dof)
     fields = _result_fields(data, spec, res)
+    del fields["degenerate"]  # the single-test report keeps it last, after p_g2, p_chi2
     fields["p_g2"] = math.exp(res.log_p_g2)
     fields["p_chi2"] = math.exp(res.log_p_chi2)
     fields["degenerate"] = res.degenerate
@@ -125,7 +127,7 @@ def _read_pairs(args: argparse.Namespace, data: Dataset) -> list[TestSpec]:
             f"cannot read pairs file {args.pairs}: invalid UTF-8 at byte {err.start}"
         ) from err
     specs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         if not line.strip():
             continue
         tokens = [t for t in line.replace(",", " ").split() if t]

@@ -27,6 +27,11 @@ DEPENDENT_MIX_WEIGHT = 0.3
 
 _GEN_MODES = ("null_ci", "dependent")
 
+# generate() draws a probability vector over X and one over Y for every
+# nominal Z stratum; configurations whose tables would hold more entries
+# than this (2 GiB of float64) are rejected rather than attempted.
+_MAX_TABLE_ENTRIES = 1 << 28
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -50,6 +55,12 @@ class GenConfig:
             raise ValueError("need level counts for at least X and Y")
         if any(d < 2 for d in self.levels):
             raise ValueError(f"every level count must be >= 2, got {self.levels}")
+        strata = math.prod(self.levels[2:])
+        if strata * (self.levels[0] + self.levels[1]) > _MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"levels {self.levels} give {strata} Z strata, too many for per-stratum "
+                f"probability tables of at most {_MAX_TABLE_ENTRIES} entries"
+            )
         if self.dependence not in _GEN_MODES:
             raise ValueError(f"dependence must be one of {_GEN_MODES}, got {self.dependence!r}")
         if not 0 <= int(self.seed) < 2**64:
@@ -140,6 +151,11 @@ def _read_text(source: str | Path | IO[str]) -> str:
         except UnicodeDecodeError as err:
             raise DataError(f"cannot read {source}: invalid UTF-8 at byte {err.start}") from err
     return text.removeprefix("\ufeff")
+
+
+def _breaks_line(text: str) -> bool:
+    """Whether ``text`` holds a line break, any separator of ``str.splitlines``."""
+    return "".join(text.splitlines()) != text
 
 
 def check_delimiter(delimiter: str) -> None:
@@ -237,17 +253,24 @@ def write_delimited(
     """Serialize ``data`` with a header row; inverse of :func:`read_delimited`.
 
     Values are written as the original labels when present, decimal codes
-    otherwise.  Tokens containing the delimiter are rejected (no quoting).
+    otherwise.  Raises ValueError for a delimiter :func:`read_delimited`
+    rejects, and DataError for a column name or label that contains the
+    delimiter or a line break (there is no quoting).
     """
+    check_delimiter(delimiter)
     names = [col.name for col in data.columns]
-    token_columns = [col.tokens() for col in data.columns]
     for name in names:
         if delimiter in name:
             raise DataError(f"column name {name!r} contains the delimiter")
+        if _breaks_line(name):
+            raise DataError(f"column name {name!r} contains a line break")
     for col in data.columns:
         for tok in col.labels or ():
             if delimiter in tok:
                 raise DataError(f"column {col.name!r}: token {tok!r} contains the delimiter")
+            if _breaks_line(tok):
+                raise DataError(f"column {col.name!r}: token {tok!r} contains a line break")
+    token_columns = [col.tokens() for col in data.columns]
 
     out = [delimiter.join(names)]
     for row in zip(*token_columns):

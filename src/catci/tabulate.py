@@ -6,16 +6,18 @@ re-scanning the rows.  Cells use a mixed-radix flat index with the first
 variable fastest, so each conditioning combination owns one contiguous
 ``dx * dy`` block.
 
-:func:`occupied_cells` is the tabulation behind ``ci_test``: it compresses
-the conditioning set to its occupied strata while indexing, so its memory
-grows with the rows and the occupied strata, never with ``prod |Z_i|``.
+:func:`stacked_cells` is the tabulation behind ``ci_test`` and
+``batch_screen``: it compresses a conditioning set to its occupied strata
+once, while indexing, and tabulates every pair that shares it against that
+index, so its memory grows with the rows and the occupied strata, never
+with ``prod |Z_i|`` or the number of pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +30,10 @@ _MAX_CELLS = 1 << 62
 # Id spaces up to this multiple of the id count are counted with bincount and
 # a lookup table; wider ones are sorted by np.unique.
 _BINCOUNT_SPAN = 4
+
+# A stack of tables sharing a conditioning set holds at most this many cells
+# per data row, which bounds its memory independently of the number of pairs.
+_STACK_ROWS = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,16 +66,20 @@ class SliceMarginals:
 
 @dataclass(frozen=True, eq=False)
 class OccupiedCells:
-    """The occupied cells of an ``(x, y | Z)`` table, Z compressed to its strata.
+    """The occupied cells of ``(x, y | Z)`` tables that share Z, ``|X|`` and ``|Y|``.
 
+    Table ``k`` owns cells ``bounds[k]:bounds[k + 1]``.  Every table has the
+    same ``n_strata`` strata, the Z combinations that occur in the rows.
     Cell ``i`` holds ``count[i]`` rows with codes ``x[i]``, ``y[i]`` in
-    stratum ``stratum[i]``.  Strata are the occupied Z combinations, numbered
-    ``0..n_strata-1`` in lexicographic order of their codes; cells are
-    sorted by ``(stratum, y, x)``.
+    stratum ``stratum[i]``.  Strata are numbered from 0 across the stack,
+    table by table and within a table in lexicographic order of their codes;
+    cells are sorted by ``(stratum, x, y)``.  :func:`occupied_cells` gives a
+    stack of one table.
     """
 
     dims_xy: tuple[int, int]
     n_strata: int
+    bounds: tuple[int, ...]
     x: np.ndarray
     y: np.ndarray
     stratum: np.ndarray
@@ -77,7 +87,10 @@ class OccupiedCells:
     total: int
 
     def as_table(self) -> ContingencyTable:
-        """Dense ``(x, y, stratum)`` table, at most ``|X|·|Y|·n_rows`` cells."""
+        """Dense ``(x, y, stratum)`` table of a one-table stack.
+
+        It holds at most ``|X|·|Y|·n_rows`` cells.
+        """
         dx, dy = self.dims_xy
         dense = np.zeros(dx * dy * self.n_strata, dtype=np.int64)
         dense[self.x + dx * (self.y + dy * self.stratum)] = self.count
@@ -93,7 +106,7 @@ def _count_distinct(
     """
     if space <= _BINCOUNT_SPAN * ids.size:
         counts = np.bincount(ids, minlength=space)
-        values = np.flatnonzero(counts)
+        (values,) = counts.nonzero()
         if not inverse:
             return values, counts[values], None
         lut = np.empty(space, dtype=np.int64)
@@ -106,15 +119,14 @@ def _count_distinct(
     return values, counts, None
 
 
-def occupied_cells(data: Dataset, x: int, y: int, cs: Sequence[int] = ()) -> OccupiedCells:
-    """Tabulate ``(x, y)`` within the occupied strata of ``cs`` in one pass.
+def _strata_code(data: Dataset, cs: Sequence[int]) -> tuple[np.ndarray | None, int]:
+    """Each row's Z stratum as a code in ``[0, radix)``, and the radix.
 
-    The Z index is a mixed-radix code built column by column in one int64
-    array; whenever its radix exceeds the row count it is re-compressed to
-    the occupied strata, so the id space stays below ``n_rows · max |Z_i|``
-    and never overflows.  Indices are assumed valid (see ``validate_spec``).
+    The code is mixed-radix, built column by column in one int64 array;
+    whenever its radix exceeds the row count it is re-compressed to the
+    occupied strata, so the radix ends at most ``n_rows`` and never
+    overflows.  ``None`` stands for an empty conditioning set.
     """
-    n = data.n_rows
     code: np.ndarray | None = None
     radix = 1
     for c in cs:
@@ -125,38 +137,113 @@ def occupied_cells(data: Dataset, x: int, y: int, cs: Sequence[int] = ()) -> Occ
             code *= column.levels
             code += column.codes
         radix *= column.levels
-        if radix > n:
+        if radix > data.n_rows:
             strata, _, code = _count_distinct(code, radix, inverse=True)
             radix = strata.size
+    return code, radix
 
-    dx, dy = data.levels(x), data.levels(y)
-    if code is None:
-        code = data.columns[y].codes * dx
-    else:
-        code *= dy
-        code += data.columns[y].codes
-        code *= dx
-    code += data.columns[x].codes
-    index, count, _ = _count_distinct(code, radix * dy * dx)
 
-    xs = index % dx
-    index //= dx
-    ys = index % dy
-    index //= dy
-    # Number the strata that occur: index is sorted, so each is one run.
-    fresh = np.empty(index.size, dtype=bool)
-    fresh[:1] = True
-    np.not_equal(index[1:], index[:-1], out=fresh[1:])
-    stratum = fresh.cumsum() - 1
+def _stack(
+    dims_xy: tuple[int, int], parts: list, counts: list, bounds: list[int], total: int
+) -> OccupiedCells:
+    """Decompose the offset cell indices of one or more tables into a stack."""
+    dx, dy = dims_xy
+    index = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    count = counts[0] if len(counts) == 1 else np.concatenate(counts)
+    index, ys = np.divmod(index, dy)
+    index, xs = np.divmod(index, dx)
+    # index is now each cell's stratum offset by its table, sorted, so each
+    # stratum is one run.  Every table has the same strata, those of the rows,
+    # so each holds an equal share of the runs.
+    stratum = np.zeros(index.size, dtype=np.int64)
+    np.cumsum(index[1:] != index[:-1], out=stratum[1:])
     return OccupiedCells(
-        dims_xy=(dx, dy),
-        n_strata=int(np.count_nonzero(fresh)),
+        dims_xy=dims_xy,
+        n_strata=(int(stratum[-1]) + 1) // len(parts) if stratum.size else 0,
+        bounds=tuple(bounds),
         x=_freeze(xs),
         y=_freeze(ys),
         stratum=_freeze(stratum),
         count=_freeze(count.astype(np.int64, copy=False)),
-        total=n,
+        total=total,
     )
+
+
+def stacked_cells(
+    data: Dataset, cs: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> Iterator[tuple[list[int], OccupiedCells]]:
+    """Tabulate many ``(x, y)`` pairs within the occupied strata of one ``cs``.
+
+    The Z code is built once (see :func:`_strata_code`), and ``z·|X| + x``
+    once per x column, so each pair costs one multiply-add and one count of
+    its distinct cells.  Pairs with equal ``(|X|, |Y|)`` are stacked, each
+    table's cell ids offset past the previous one's.  A stack is yielded,
+    with the positions of its pairs in ``pairs``, before it would hold more
+    than ``_STACK_ROWS · n_rows`` cells, so the extra memory is O(n_rows)
+    however many pairs share ``cs``.  Indices are assumed valid (see
+    ``validate_spec``).
+    """
+    n = data.n_rows
+    columns = data.columns
+    code, radix = _strata_code(data, cs)
+    if len(pairs) == 1:
+        # One table is indexed in place, in the Z code's own array if any.
+        order = [0]
+        zx_buf = code
+        buf = np.empty(n, dtype=np.int64) if code is None else code
+    else:
+        order = sorted(
+            range(len(pairs)),
+            key=lambda i: (columns[pairs[i][0]].levels, columns[pairs[i][1]].levels, pairs[i][0]),
+        )
+        zx_buf = None if code is None else np.empty(n, dtype=np.int64)
+        buf = np.empty(n, dtype=np.int64)
+    last_x = None
+    dims = (0, 0)
+    positions: list[int] = []
+    parts: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    bounds = [0]
+    for i in order:
+        x, y = pairs[i]
+        dx, dy = columns[x].levels, columns[y].levels
+        if x != last_x:
+            if code is None:
+                zx = columns[x].codes
+            else:
+                zx = np.multiply(code, dx, out=zx_buf)
+                zx += columns[x].codes
+            last_x = x
+        np.multiply(zx, dy, out=buf)
+        buf += columns[y].codes
+        space = radix * dx * dy
+        index, count, _ = _count_distinct(buf, space)
+        if parts and (
+            (dx, dy) != dims
+            or bounds[-1] + index.size > _STACK_ROWS * n
+            or (len(parts) + 1) * space > _MAX_CELLS
+        ):
+            yield positions, _stack(dims, parts, counts, bounds, n)
+            positions, parts, counts, bounds = [], [], [], [0]
+        if parts:
+            index += len(parts) * space
+        dims = (dx, dy)
+        positions.append(i)
+        parts.append(index)
+        counts.append(count)
+        bounds.append(bounds[-1] + index.size)
+    if parts:
+        yield positions, _stack(dims, parts, counts, bounds, n)
+
+
+def occupied_cells(data: Dataset, x: int, y: int, cs: Sequence[int] = ()) -> OccupiedCells:
+    """Tabulate ``(x, y)`` within the occupied strata of ``cs`` in one pass.
+
+    The one-table case of :func:`stacked_cells`: memory grows with the rows
+    and the occupied strata, never with ``prod |Z_i|``.
+    """
+    ((_, cells),) = stacked_cells(data, cs, [(x, y)])
+    return cells
 
 
 def build_table(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from catci import tabulate
 from catci.citest import (
-    ChiSquaredDist,
     batch_screen,
     chi2_statistic,
     ci_test,
@@ -184,15 +183,6 @@ class TestLogSfChisq:
     )
     def test_strictly_decreasing_property(self, stat, gap, d):
         assert log_sf_chisq(stat + gap, d) < log_sf_chisq(stat, d)
-
-
-class TestChiSquaredDist:
-    def test_delegates(self):
-        assert ChiSquaredDist(2).log_sf(2.0) == log_sf_chisq(2.0, 2)
-
-    def test_requires_positive_dof(self):
-        with pytest.raises(ValueError):
-            ChiSquaredDist(0)
 
 
 def _perfectly_dependent_dataset(n_per_level=100):
@@ -471,6 +461,95 @@ class TestBatchScreen:
         pairs = [TestSpec(0, 1, (2,))]
         res = batch_screen(data, pairs, workers=1, method="ipf", adjust_dof=True)
         assert res[0] == ci_test(data, pairs[0], method="ipf", adjust_dof=True)
+
+
+@st.composite
+def screens(draw):
+    """A small dataset and a shuffled spec list with shared and distinct conditioning sets.
+
+    Columns may have unused labelled levels, a single used level (degenerate
+    X or Y) or 25 levels (wide Z id spaces); specs repeat.
+    """
+    n = draw(st.integers(1, 60))
+    width = draw(st.integers(3, 7))
+    used = draw(st.lists(st.sampled_from([1, 2, 3, 4, 25]), min_size=width, max_size=width))
+    unused = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = tuple(
+        CategoricalColumn(
+            f"V{j}", u + e, rng.integers(0, u, size=n), labels=tuple(map(str, range(u + e)))
+        )
+        for j, (u, e) in enumerate(zip(used, unused))
+    )
+    conditioning = draw(
+        st.lists(
+            st.lists(st.integers(0, width - 1), unique=True, max_size=width - 2).map(tuple),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    specs = []
+    for _ in range(draw(st.integers(1, 20))):
+        cs = draw(st.sampled_from(conditioning))
+        x, y, *_ = draw(st.permutations([c for c in range(width) if c not in cs]))
+        specs.append(TestSpec(x, y, cs))
+    specs += draw(st.lists(st.sampled_from(specs), max_size=5))
+    return Dataset(n, columns), draw(st.permutations(specs))
+
+
+class TestBatchedKernel:
+    """batch_screen stacks the pairs that share a conditioning set; each result
+    must equal the batch of one and the occupied-cells oracle."""
+
+    @pytest.mark.parametrize("span", [0, tabulate._BINCOUNT_SPAN, 1 << 40])
+    @given(case=screens())
+    def test_equals_single_tests_and_oracle(self, span, case):
+        data, specs = case
+        with mock.patch.object(tabulate, "_BINCOUNT_SPAN", span):
+            batch = batch_screen(data, specs)
+            singles = [ci_test(data, s) for s in specs]
+        assert batch == singles
+        for spec, result in zip(specs, batch):
+            assert_matches_oracle(result, ci_occupied_bruteforce(data, spec))
+
+    @given(case=screens(), cut=st.integers(0, 30))
+    def test_any_split_concatenates(self, case, cut):
+        data, specs = case
+        whole = batch_screen(data, specs)
+        assert batch_screen(data, specs[:cut]) + batch_screen(data, specs[cut:]) == whole
+
+    def test_single_row(self):
+        data = make_dataset(np.random.default_rng(0), 1, (3, 4, 2, 5, 2))
+        specs = [
+            TestSpec(0, 1, (2, 3)), TestSpec(0, 4, (2, 3)), TestSpec(1, 4), TestSpec(1, 0, (2, 3))
+        ]
+        for spec, result in zip(specs, batch_screen(data, specs)):
+            assert_matches_oracle(result, ci_occupied_bruteforce(data, spec))
+
+    def test_stacks_flush_at_the_row_budget(self, rng):
+        # Each pair fills most of one stack: results must not depend on where
+        # the flushes fall.
+        data = make_dataset(rng, 300, (4,) * 6 + (3,) * 6)
+        cs = tuple(range(6))
+        specs = [TestSpec(x, y, cs) for x, y in itertools.combinations(range(6, 12), 2)]
+        with mock.patch.object(tabulate, "_STACK_ROWS", 3):
+            wide = batch_screen(data, specs)
+        assert batch_screen(data, specs) == wide == [ci_test(data, s) for s in specs]
+
+    def test_memory_tracks_rows_not_pairs(self, rng):
+        # 300 pairs under 4**10 nominal strata: nearly every row is its own
+        # stratum, so each pair has about n occupied cells.  Holding every
+        # pair's cells at once would take well over 100 MB.
+        data = make_dataset(rng, 3000, (4,) * 10 + (3,) * 13 + (4,) * 12)
+        cs = tuple(range(10))
+        specs = [TestSpec(x, y, cs) for x, y in itertools.combinations(range(10, 35), 2)]
+        tracemalloc.start()
+        try:
+            batch_screen(data, specs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestZeroExpectedUnreachable:

@@ -10,7 +10,7 @@ from catci.io import GenConfig, generate, write_delimited
 
 JSONL_KEYS = [
     "x", "y", "cs", "g2", "chi2", "dof", "dof_adjusted",
-    "log_p_g2", "log_p_chi2", "empty_strata", "method",
+    "log_p_g2", "log_p_chi2", "empty_strata", "method", "degenerate",
 ]
 
 
@@ -48,6 +48,14 @@ class TestCmdGen:
         run_cli(capsys, ["gen", "--n", "50", "--levels", "2,2", "--seed", "9", "--out", str(a)])
         run_cli(capsys, ["gen", "--n", "50", "--levels", "2,2", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_too_many_strata_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        levels = ",".join(["3", "4"] + ["3"] * 28)
+        code, _, err = run_cli(capsys, ["gen", "--n", "10", "--levels", levels, "--out", str(out)])
+        assert code == 2
+        assert f"{3**28} Z strata" in err
+        assert not out.exists()
 
     def test_bad_levels_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -247,6 +255,31 @@ class TestCmdBatch:
         code, _, err = run_cli(capsys, ["batch", "--data", wide_file, "--pairs", str(pairs)])
         assert code == 3
         assert f"error: cannot read pairs file {pairs}: invalid UTF-8 at byte 6" in err
+
+    def test_pairs_file_leading_bom_ignored(self, wide_file, tmp_path, capsys):
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("\ufeffX Y\nX,Z1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["batch", "--data", wide_file, "--pairs", str(pairs)])
+        assert code == 0, err
+        rows = [json.loads(ln) for ln in out.splitlines()]
+        assert [(r["x"], r["y"]) for r in rows] == [("X", "Y"), ("X", "Z1")]
+
+    def test_degenerate_flag_in_rows(self, tmp_path, capsys):
+        path = tmp_path / "const.csv"
+        path.write_text("a,b,c\nu,1,k\nv,2,k\nu,1,k\nv,1,k\n")
+        for fmt in ("jsonl", "tsv"):
+            code, out, _ = run_cli(
+                capsys, ["batch", "--data", str(path), "--pairs", "all", "--format", fmt]
+            )
+            assert code == 0
+            if fmt == "jsonl":
+                rows = [json.loads(ln) for ln in out.splitlines()]
+            else:
+                header, *lines = (ln.split("\t") for ln in out.splitlines())
+                rows = [dict(zip(header, ln)) for ln in lines]
+            flags = {(r["x"], r["y"]): r["degenerate"] for r in rows}
+            true, false = (True, False) if fmt == "jsonl" else ("True", "False")
+            assert flags == {("a", "b"): false, ("a", "c"): true, ("b", "c"): true}
 
     def test_tsv_format(self, wide_file, capsys):
         _, out, _ = run_cli(
