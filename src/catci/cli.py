@@ -180,20 +180,36 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
+def _scenario_list(text: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_int_list(block) for block in text.split(";") if block.strip())
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.test_counts:
-        kwargs["test_counts"] = _parse_int_list(args.test_counts)
+        kwargs["test_counts"] = args.test_counts
     if args.sample_sizes:
-        kwargs["sample_sizes"] = _parse_int_list(args.sample_sizes)
+        kwargs["sample_sizes"] = args.sample_sizes
     if args.scenarios:
-        kwargs["scenarios"] = tuple(
-            _parse_int_list(block) for block in args.scenarios.split(";") if block.strip()
-        )
+        kwargs["scenarios"] = args.scenarios
     if args.repetitions:
         kwargs["repetitions"] = args.repetitions
     if args.methods:
@@ -244,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--pairs", required=True,
                          help="'all' or a file with one 'x y' (or 'x,y') pair per line")
     p_batch.add_argument("--cs", default="", help="conditioning columns applied to every pair")
-    p_batch.add_argument("--workers", type=int, default=1)
+    p_batch.add_argument("--workers", type=_positive_int, default=1)
     p_batch.add_argument("--method", choices=("closed", "closed_form", "ipf"), default="closed")
     p_batch.add_argument("--adjust-dof", action="store_true", dest="adjust_dof")
     p_batch.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
@@ -260,9 +276,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_bench = sub.add_parser("bench", help="timing benchmark over the scenario grid")
-    p_bench.add_argument("--test-counts", default="", help="e.g. 500,1000,2000,3000,5000")
-    p_bench.add_argument("--sample-sizes", default="", help="e.g. 3000,5000,10000")
-    p_bench.add_argument("--scenarios", default="",
+    p_bench.add_argument("--test-counts", default=(), type=_int_list,
+                         help="e.g. 500,1000,2000,3000,5000")
+    p_bench.add_argument("--sample-sizes", default=(), type=_int_list, help="e.g. 3000,5000,10000")
+    p_bench.add_argument("--scenarios", default=(), type=_scenario_list,
                          help="semicolon-separated level tuples, e.g. '3,4,2;3,4,2,4,4'")
     p_bench.add_argument("--repetitions", type=int, default=0, help="0 keeps the default (50)")
     p_bench.add_argument("--methods", default="", help="subset of closed,ipf")

@@ -6,6 +6,12 @@ not a line break (comma by default, no quoting — tokens must not contain
 the delimiter), first line an optional header.  Columns are factorized to
 0-based codes in first-appearance order.
 
+The reader works on the text as one numpy array of code points (uint8 for
+ASCII, uint32 otherwise): line breaks and delimiters give one array of
+field boundaries, and each column's tokens are factorised by a mixed-radix
+code over their code points, so reading is linear in the file size and
+only names and distinct labels become ``str`` objects.
+
 The generator is deterministic given (seed, config) via numpy's PCG64
 stream, so datasets are bit-reproducible across platforms.
 """
@@ -19,6 +25,7 @@ from typing import IO
 
 import numpy as np
 
+from . import tabulate
 from .core import CategoricalColumn, DataError, Dataset
 
 # Weight with which the dependent scenario pulls Y toward a deterministic
@@ -153,6 +160,16 @@ def _read_text(source: str | Path | IO[str]) -> str:
     return text.removeprefix("\ufeff")
 
 
+def _first_duplicate(names: list[str]) -> str | None:
+    """The first name that repeats an earlier one, or None."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def _breaks_line(text: str) -> bool:
     """Whether ``text`` holds a line break, any separator of ``str.splitlines``."""
     return "".join(text.splitlines()) != text
@@ -166,24 +183,41 @@ def check_delimiter(delimiter: str) -> None:
         )
 
 
-def _first_line_error(chars: np.ndarray, delimiter: str) -> str | None:
+def _code_points(text: str) -> np.ndarray:
+    """``text`` as one array of code points: uint8 for ASCII, uint32 otherwise."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+
+
+def _line_breaks(chars: np.ndarray, top: int) -> np.ndarray:
+    """Sorted positions of the code points in ``chars`` at which ``str.splitlines`` breaks.
+
+    "\\r\\n" must already be one "\\n".  ``top`` is the largest code point.
+    The breaks are U+000A..U+000D, U+001C..U+001E, U+0085, U+2028 and
+    U+2029; the last three are only looked for when ``top`` reaches them.
+    """
+    candidate = chars <= 0x1E
+    if top >= 0x85:
+        candidate |= (chars == 0x85) | ((chars >= 0x2028) & (chars <= 0x2029))
+    pos = np.flatnonzero(candidate)
+    del candidate
+    cp = chars[pos]
+    return pos[((cp >= 0x0A) & (cp <= 0x0D)) | (cp >= 0x1C)]
+
+
+def _first_line_error(bounds: np.ndarray, last_field: np.ndarray, empty: np.ndarray) -> str | None:
     """Message for the first ragged row or empty field, or None if there is none.
 
-    ``chars`` holds the code points of the lines joined by "\\n".  A line is
-    ragged when its field count differs from the first line's; on one line a
-    ragged row is reported before a missing value.
+    Field ``f`` spans ``bounds[f] + 1 : bounds[f + 1]``, line ``l`` ends with
+    field ``last_field[l]``, and ``empty`` holds where each empty field ends.
+    A line is ragged when its field count differs from the first line's; on
+    one line a ragged row is reported before a missing value.
     """
-    is_sep = (chars == ord(delimiter)) | (chars == ord("\n"))
-    sep = np.flatnonzero(is_sep)  # field k ends at sep[k], the last one at chars.size
-    last_field = np.append(np.flatnonzero(chars[sep] == ord("\n")), sep.size)
     n_fields = np.diff(last_field, prepend=-1)
     ragged = np.flatnonzero(n_fields != n_fields[0])
-    # A field is empty where two separators meet or one sits at either end.
-    bounds = np.ones(chars.size + 2, dtype=bool)
-    bounds[1:-1] = is_sep
-    empty = np.flatnonzero(bounds[:-1] & bounds[1:])  # where each empty field ends
     if empty.size:
-        field = int(np.searchsorted(sep, empty[0]))
+        field = int(np.searchsorted(bounds, empty[0])) - 1
         empty_line = int(np.searchsorted(last_field, field))
     else:
         empty_line = last_field.size
@@ -194,6 +228,100 @@ def _first_line_error(chars: np.ndarray, delimiter: str) -> str | None:
         first_field = int(last_field[empty_line - 1]) + 1 if empty_line else 0
         return f"line {empty_line + 1}: missing value in field {field - first_field + 1}"
     return None
+
+
+def _field_bounds(chars: np.ndarray, top: int, delimiter: str) -> tuple[np.ndarray, int]:
+    """Where the fields of the code points ``chars`` end, after checking every line.
+
+    ``top`` is the largest code point.  Returns ``(bounds, width)``: field
+    ``f`` is ``chars[bounds[f] + 1 : bounds[f + 1]]``, fields run line after
+    line, and every line has ``width`` non-empty fields.  Raises DataError
+    for empty input and for the first ragged row or empty field.
+    """
+    breaks = _line_breaks(chars, top)
+    size = chars.size
+    for _ in range(2):  # the final line break, then one trailing empty line
+        if breaks.size and breaks[-1] == size - 1:
+            size -= 1
+            breaks = breaks[:-1]
+    if breaks.size == size:
+        raise DataError("empty input")
+    chars = chars[:size]
+
+    # is_sep[p + 1]: a field ends at p; a virtual one at -1 and at size.
+    is_sep = np.ones(size + 2, dtype=bool)
+    np.equal(chars, ord(delimiter), out=is_sep[1:-1])
+    is_sep[breaks + 1] = True
+    del breaks
+    empty = np.flatnonzero(is_sep[:-1] & is_sep[1:])  # where each empty field ends
+    bounds = np.flatnonzero(is_sep)
+    del is_sep
+    bounds -= 1
+    last_field = np.append(np.flatnonzero(chars[bounds[1:-1]] != ord(delimiter)), bounds.size - 2)
+    error = _first_line_error(bounds, last_field, empty)
+    if error is not None:
+        raise DataError(error)
+    return bounds, int(last_field[0]) + 1
+
+
+def _factorise(
+    chars: np.ndarray, base: int, starts: np.ndarray, stops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factorise the non-empty tokens ``chars[starts[k]:stops[k]]``, code points below ``base``.
+
+    Returns each token's code, in first-appearance order, and each code's
+    first token.  Every token still longer than ``i`` extends a mixed-radix
+    code by its code point at offset ``i``; whenever the radix exceeds the
+    token count the code is re-compressed to its distinct values.  Tokens
+    that end at ``i`` take ids past those of shorter tokens, so equal ids
+    mean equal tokens, and the work at offset ``i`` touches only the tokens
+    longer than ``i``: O(characters) in all.  Reading stops early once the
+    tokens still being read all have distinct codes.  ``starts`` is used as
+    scratch.
+    """
+    n = starts.size
+    pos, end = starts, stops
+    code = np.zeros(n, dtype=np.int64)
+    radix = 1
+    ids = token = None  # token: the tokens still being read, once some have ended
+    n_ids = 0
+    while True:
+        code *= base
+        code += chars[pos]
+        radix *= base
+        pos += 1
+        done = pos == end
+        finished = bool(done.all())
+        if radix > n or finished:
+            values, _, code = tabulate._count_distinct(code, radix, inverse=True)
+            radix = values.size
+            # Distinct codes are distinct tokens, which also differ from the
+            # shorter tokens that ended before, whatever code points remain.
+            finished = finished or radix == code.size
+        if finished:
+            code += n_ids
+            if token is None:
+                ids = code
+            else:
+                ids[token] = code
+            n_ids += radix
+            break
+        if done.any():
+            if token is None:
+                ids, token = np.empty(n, dtype=np.int64), np.arange(n)
+            values, _, inverse = tabulate._count_distinct(code[done], radix, inverse=True)
+            inverse += n_ids
+            ids[token[done]] = inverse
+            n_ids += values.size
+            going = ~done
+            token, pos, end, code = token[going], pos[going], end[going], code[going]
+    del pos, end, code, token
+    first = np.full(n_ids, n, dtype=np.int64)
+    np.minimum.at(first, ids, np.arange(n))
+    order = np.argsort(first)
+    rank = np.empty(n_ids, dtype=np.int64)
+    rank[order] = np.arange(n_ids)
+    return rank[ids], first[order]
 
 
 def read_delimited(
@@ -209,39 +337,43 @@ def read_delimited(
     delimiter is one character that is not a line break, and DataError for
     unreadable or empty input, ragged rows, empty fields (naming the first
     offending physical line) or a duplicate header name.
+
+    The text is read as one array of code points and every step after that
+    is a numpy pass over it, so time and memory are linear in its length;
+    only column names and distinct labels become ``str`` objects.
     """
     check_delimiter(delimiter)
-    lines = _read_text(source).splitlines()
-    if not any(lines):
-        raise DataError("empty input")
-    if lines[-1] == "":
-        lines.pop()  # trailing newline
-    n_lines = len(lines)
-    joined = "\n".join(lines)
-    del lines
-    error = _first_line_error(np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32), delimiter)
-    if error is not None:
-        raise DataError(error)
+    text = _read_text(source)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")  # one line break, as for splitlines
+    chars = _code_points(text)
+    top = int(chars.max()) if chars.size else 0
+    bounds, width = _field_bounds(chars, top, delimiter)
 
-    tokens = joined.replace("\n", delimiter).split(delimiter)
-    del joined
-    width = len(tokens) // n_lines
+    def field_text(fields: np.ndarray) -> list[str]:
+        ends = bounds[fields + 1].tolist()
+        return [text[s + 1 : e] for s, e in zip(bounds[fields].tolist(), ends)]
+
+    n_lines = (bounds.size - 1) // width
     if has_header:
-        names = tokens[:width]
-        if len(set(names)) != width:
-            dup = next(nm for i, nm in enumerate(names) if nm in names[:i])
+        names = field_text(np.arange(width))
+        dup = _first_duplicate(names)
+        if dup is not None:
             raise DataError(f"duplicate column name {dup!r} in header")
-        start, n_rows = width, n_lines - 1
+        first, n_rows = width, n_lines - 1
     else:
         names = [f"V{j + 1}" for j in range(width)]
-        start, n_rows = 0, n_lines
+        first, n_rows = 0, n_lines
     if not n_rows:
         raise DataError("empty input: no data rows")
-    columns = tuple(
-        CategoricalColumn.from_tokens(name, tokens[start + j :: width])
-        for j, name in enumerate(names)
-    )
-    return Dataset(n_rows=n_rows, columns=columns)
+    columns = []
+    for field, name in enumerate(names, start=first):
+        codes, first_token = _factorise(
+            chars, top + 1, bounds[field:-1:width] + 1, bounds[field + 1 :: width]
+        )
+        labels = tuple(field_text(first_token * width + field))
+        columns.append(CategoricalColumn(name=name, levels=len(labels), codes=codes, labels=labels))
+    return Dataset(n_rows=n_rows, columns=tuple(columns))
 
 
 def write_delimited(
@@ -254,18 +386,29 @@ def write_delimited(
 
     Values are written as the original labels when present, decimal codes
     otherwise.  Raises ValueError for a delimiter :func:`read_delimited`
-    rejects, and DataError for a column name or label that contains the
-    delimiter or a line break (there is no quoting).
+    rejects, and DataError for what it would not read back: an empty or
+    duplicate column name, a first column name that starts with a
+    byte-order mark, and a column name or label that is empty or contains
+    the delimiter or a line break (there is no quoting).
     """
     check_delimiter(delimiter)
     names = [col.name for col in data.columns]
+    dup = _first_duplicate(names)
+    if dup is not None:
+        raise DataError(f"duplicate column name {dup!r}")
+    if names and names[0].startswith("\ufeff"):
+        raise DataError(f"column name {names[0]!r} starts with a byte-order mark")
     for name in names:
+        if not name:
+            raise DataError("empty column name")
         if delimiter in name:
             raise DataError(f"column name {name!r} contains the delimiter")
         if _breaks_line(name):
             raise DataError(f"column name {name!r} contains a line break")
     for col in data.columns:
         for tok in col.labels or ():
+            if not tok:
+                raise DataError(f"column {col.name!r}: empty token")
             if delimiter in tok:
                 raise DataError(f"column {col.name!r}: token {tok!r} contains the delimiter")
             if _breaks_line(tok):

@@ -212,6 +212,15 @@ class TestCmdBatch:
         )
         assert one == eight
 
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_workers_below_one_is_usage_error(self, wide_file, capsys, workers):
+        with pytest.raises(SystemExit) as err:
+            main(["batch", "--data", wide_file, "--pairs", "all", "--workers", workers])
+        assert err.value.code == 2
+        assert f"error: argument --workers: expected a positive integer, got {workers!r}" in (
+            capsys.readouterr().err
+        )
+
     def test_pairs_file_matches_single_tests(self, wide_file, tmp_path, capsys):
         pairs = tmp_path / "pairs.txt"
         pairs.write_text("X Y\nX,Z1\n3 4\n")
@@ -292,6 +301,20 @@ class TestCmdBatch:
 
 
 class TestCmdBench:
+    @pytest.mark.parametrize("flag, value", [
+        ("--scenarios", "3,4,x"), ("--scenarios", "3,4;2,x"), ("--test-counts", "x"),
+        ("--sample-sizes", "10,x"),
+    ])
+    def test_bad_list_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--repetitions", "1", flag, value])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        bad = value.split(";")[-1]
+        assert [ln for ln in lines if "error:" in ln] == [
+            f"catci bench: error: argument {flag}: expected comma-separated integers, got {bad!r}"
+        ]
+
     def test_smoke_run(self, capsys):
         code, out, _ = run_cli(
             capsys,

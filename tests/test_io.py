@@ -1,12 +1,16 @@
 import hashlib
 import io as stringio
 import math
+import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catci import tabulate
 from catci.citest import ci_test
 from catci.core import CategoricalColumn, DataError, Dataset, TestSpec
 from catci.io import DEPENDENT_MIX_WEIGHT, GenConfig, generate, read_delimited, write_delimited
@@ -175,6 +179,168 @@ class TestReaderInputChecks:
             read_delimited(path)
 
 
+# Tokens that are prefixes of each other or hold U+0000, which a reader that
+# pads tokens or stops at a terminator would merge.
+_PREFIX_TOKENS = ["a", "a\0", "ab", "\0", "\0a", "a\0\0", "\0\0"]
+
+
+# Every line separator of str.splitlines.
+_ALL_LINE_BREAKS = _LINE_BREAKS + ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def _token_tables(draw, alphabet="ab\0é", max_rows=150):
+    """Delimited text of regular rows; tokens are prefixes of each other or free strings."""
+    width = draw(st.integers(1, 3))
+    pool = _PREFIX_TOKENS + draw(
+        st.lists(st.text(alphabet, min_size=1, max_size=draw(st.sampled_from([3, 12, 40]))),
+                 min_size=1, max_size=30)
+    )
+    cell = st.sampled_from(pool) | st.text(alphabet, min_size=1, max_size=6)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1,
+                         max_size=max_rows))
+    header = ",".join(f"c{j}" for j in range(width))
+    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+class TestReaderTokens:
+    """Factorisation of token code points, against the line-by-line reference."""
+
+    @pytest.mark.parametrize("span", [0, tabulate._BINCOUNT_SPAN, 1 << 40])
+    @given(text=_token_tables())
+    @settings(max_examples=150)
+    def test_same_as_reference_under_each_count_branch(self, span, text):
+        with mock.patch.object(tabulate, "_BINCOUNT_SPAN", span):
+            got = _read(text)
+        assert got == read_delimited_reference(text)
+
+    @given(text=_token_tables(alphabet="a\0日\U0001f600", max_rows=40))
+    @settings(max_examples=100)
+    def test_non_bmp_tokens(self, text):
+        assert _read(text) == read_delimited_reference(text)
+
+    @given(text=_token_tables(alphabet="ab\0"), data=st.data())
+    @settings(max_examples=100)
+    def test_one_non_ascii_token_leaves_other_columns_alone(self, text, data):
+        # An ASCII file is read as uint8 code points; with one token made
+        # non-ASCII, as uint32.  The other columns must not change.
+        lines = text.splitlines()
+        row = data.draw(st.integers(1, len(lines) - 1))
+        fields = lines[row].split(",")
+        col = data.draw(st.integers(0, len(fields) - 1))
+        fields[col] = "\U0001f600" + fields[col]
+        changed = "\n".join(lines[:row] + [",".join(fields)] + lines[row + 1 :]) + "\n"
+        assert text.isascii() and not changed.isascii()
+        ascii_ds, wide_ds = _read(text), _read(changed)
+        assert wide_ds == read_delimited_reference(changed)
+        for j, (a, b) in enumerate(zip(ascii_ds.columns, wide_ds.columns)):
+            if j != col:
+                assert a == b
+
+    @given(
+        rows=st.lists(st.lists(st.sampled_from(_PREFIX_TOKENS + ["é", "\U0001f600"]),
+                               min_size=2, max_size=2), min_size=1, max_size=6),
+        breaks=st.lists(st.sampled_from(_ALL_LINE_BREAKS), min_size=6, max_size=6),
+    )
+    def test_every_line_break(self, rows, breaks):
+        text = "".join(",".join(r) + b for r, b in zip([["x", "y"]] + rows, breaks))
+        assert _read(text) == read_delimited_reference(text)
+
+    def test_all_tokens_distinct(self):
+        rng = np.random.default_rng(3)
+        tokens = [f"t{i}" for i in rng.permutation(5000)] + ["\U0001f600", "\U0001f600x", "x"]
+        text = "id,g\n" + "".join(f"{t},{i % 3}\n" for i, t in enumerate(tokens))
+        ds = _read(text)
+        assert ds == read_delimited_reference(text)
+        assert ds.columns[0].labels == tuple(tokens)
+        assert ds.columns[0].codes.tolist() == list(range(len(tokens)))
+
+    def test_long_tokens_force_recompression(self):
+        # 3000 rows of 30-character tokens over 40 distinct values, plus
+        # prefixes of them: the code's radix passes the row count many times.
+        rng = np.random.default_rng(5)
+        values = ["".join("xyz\0é"[i] for i in rng.integers(0, 5, 30)) for _ in range(40)]
+        values += [v[:k] for v in values[:5] for k in (1, 7, 29)]
+        cells = rng.integers(0, len(values), (3000, 2)).tolist()
+        text = "p,q\n" + "".join(f"{values[a]},{values[b]}\n" for a, b in cells)
+        for span in (0, tabulate._BINCOUNT_SPAN, 1 << 40):
+            with mock.patch.object(tabulate, "_BINCOUNT_SPAN", span):
+                assert _read(text) == read_delimited_reference(text)
+
+
+class TestReaderCost:
+    def test_long_tokens_cost_their_length_once(self):
+        # Work at code-point offset i touches only the tokens longer than i:
+        # reading every token at every offset would count 20k * 100k ids.
+        # The two long tokens are equal, so both must be read to the end.
+        rows = "".join(f"{i % 10},{i % 3}\n" for i in range(20_000))
+        text = "a,b\n" + ("x" * 100_000 + ",1\n") * 2 + rows
+        counted = []
+        count_distinct = tabulate._count_distinct
+
+        def counting(ids, *args, **kw):
+            counted.append(ids.size)
+            return count_distinct(ids, *args, **kw)
+
+        start = time.perf_counter()
+        with mock.patch.object(tabulate, "_count_distinct", counting):
+            ds = _read(text)
+        assert time.perf_counter() - start < 30
+        assert sum(counted) < len(text)
+        assert ds.columns[0].labels[0] == "x" * 100_000
+        assert ds.columns[0].codes[:3].tolist() == [0, 0, 1]
+        assert ds.columns[0].levels == 11
+
+    def test_distinct_tokens_stop_early(self):
+        # Once the tokens still being read are told apart, their remaining
+        # code points cannot change the factorisation.
+        text = "a\n" + "p" + "x" * 99_999 + "\n" + "q" + "x" * 99_999 + "\n1\n2\n1\n"
+        with mock.patch.object(
+            tabulate, "_count_distinct", wraps=tabulate._count_distinct
+        ) as counting:
+            ds = _read(text)
+        assert ds == read_delimited_reference(text)
+        assert counting.call_count < 10
+
+    def test_memory_is_a_few_arrays_per_field(self, tmp_path):
+        # 200k rows of 5 one-character fields: 1M fields, 8 MB per int64
+        # array over them.  The result itself holds 8 MB of codes.
+        path = tmp_path / "wide.csv"
+        rows = (f"{i % 3},{i % 4},{i % 2},{i % 5},{i % 7}\n" for i in range(200_000))
+        path.write_text("a,b,c,d,e\n" + "".join(rows), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            ds = read_delimited(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n_rows == 200_000
+        assert peak < 32 * 1_000_000
+
+
+@st.composite
+def _datasets_as_read(draw):
+    """A Dataset in the form read_delimited returns, and a delimiter.
+
+    Names and labels are drawn from characters that include U+0000,
+    non-ASCII and non-BMP code points, a byte-order mark, the delimiters
+    and line breaks, and may be empty, so some are not writable.
+    """
+    delimiter = draw(st.sampled_from([",", "\t", "é"]))
+    word = st.text(st.sampled_from("ab\0日\U0001f600\ufeff "), min_size=1, max_size=4)
+    if draw(st.booleans()):
+        word |= st.just("") | st.text(st.sampled_from("a\ufeff,\t\n\r\u2028é"), max_size=3)
+    n = draw(st.integers(1, 12))
+    columns = []
+    for name in draw(st.lists(word, min_size=1, max_size=4)):
+        raw = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        order = list(dict.fromkeys(raw))
+        labels = draw(st.lists(word, min_size=len(order), max_size=len(order), unique=True))
+        codes = np.array([order.index(c) for c in raw])
+        columns.append(CategoricalColumn(name, len(order), codes, labels=tuple(labels)))
+    return Dataset(n, tuple(columns)), delimiter
+
+
 class TestWriteDelimited:
     def test_labels_written(self):
         ds = _read("a,b\nx,1\ny,2\n")
@@ -217,6 +383,41 @@ class TestWriteDelimited:
         with pytest.raises(ValueError, match="delimiter must be one character") as err:
             _write(ds, delimiter=delimiter)
         assert not isinstance(err.value, DataError)
+
+    @pytest.mark.parametrize("name, labels, message", [
+        ("a", ("", "r"), "column 'a': empty token"),
+        ("", ("q", "r"), "empty column name"),
+        ("\ufeffa", ("q", "r"), "starts with a byte-order mark"),
+    ])
+    def test_unreadable_names_and_labels_rejected(self, name, labels, message):
+        ds = Dataset(2, (
+            CategoricalColumn(name, 2, np.array([0, 1]), labels=labels),
+            CategoricalColumn("b", 1, np.array([0, 0]), labels=("s",)),
+        ))
+        with pytest.raises(DataError, match=message):
+            _write(ds)
+
+    def test_duplicate_column_name_rejected(self):
+        col = CategoricalColumn("a", 1, np.array([0]), labels=("s",))
+        with pytest.raises(DataError, match="duplicate column name 'a'"):
+            _write(Dataset(1, (col, col)))
+
+    @given(case=_datasets_as_read())
+    @settings(max_examples=300)
+    def test_round_trip(self, case):
+        ds, delimiter = case
+        try:
+            text = _write(ds, delimiter=delimiter)
+        except DataError:
+            names = ds.column_names
+            words = list(names) + [t for c in ds.columns for t in c.labels]
+            assert (
+                len(set(names)) != len(names)
+                or names[0].startswith("\ufeff")
+                or any(not w or delimiter in w or w.splitlines() != [w] for w in words)
+            )
+            return
+        assert _read(text, delimiter=delimiter) == ds
 
     def test_write_to_path(self, tmp_path):
         ds = _read("a,b\nx,1\ny,2\n")
