@@ -8,9 +8,14 @@ the delimiter), first line an optional header.  Columns are factorized to
 
 The reader works on the text as one numpy array of code points (uint8 for
 ASCII, uint32 otherwise): line breaks and delimiters give one array of
-field boundaries, and each column's tokens are factorised by a mixed-radix
-code over their code points, so reading is linear in the file size and
-only names and distinct labels become ``str`` objects.
+field boundaries.  Each column is factorised in chunks of rows whose text
+stays in cache, by a mixed-radix code over the tokens' code points built
+one offset at a time; once the tokens still being read are few or long,
+they are sliced and finished as ``str`` dict keys instead.  Reading is
+linear in the file size either way.  The numpy path pays per code point,
+so its gain over splitting lines with ``str.split`` is largest for short
+tokens: one-digit codes read about 3x faster, 10-30 character labels
+1.3-1.5x (scripts/reader_shapes.py).
 
 The generator is deterministic given (seed, config) via numpy's PCG64
 stream, so datasets are bit-reproducible across platforms.
@@ -38,6 +43,22 @@ _GEN_MODES = ("null_ci", "dependent")
 # nominal Z stratum; configurations whose tables would hold more entries
 # than this (2 GiB of float64) are rejected rather than attempted.
 _MAX_TABLE_ENTRIES = 1 << 28
+
+# When _factorise stops extending token codes in numpy and finishes the
+# tokens still being read as str keys of a dict: slicing and looking up one
+# str token costs about as much as the fixed overhead of a numpy step over
+# _STEP_TOKENS tokens, or as reading _CODE_POINTS_PER_TOKEN code points in
+# numpy steps (x86-64, numpy 2.4; scripts/reader_shapes.py: numpy wins on
+# 10-30 character labels, str on 40-80 character labels).
+_STEP_TOKENS = 20
+_CODE_POINTS_PER_TOKEN = 40
+
+# Rows whose text spans about this many bytes are factorised together, so the
+# lines read at every code-point offset stay in cache.
+_CHUNK_BYTES = 1 << 20
+
+# Tokens sliced from the text per block of Python int positions.
+_SLICE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -206,6 +227,28 @@ def _line_breaks(chars: np.ndarray, top: int) -> np.ndarray:
     return pos[((cp >= 0x0A) & (cp <= 0x0D)) | (cp >= 0x1C)]
 
 
+def _alphabet(chars: np.ndarray, top: int) -> tuple[np.ndarray, int]:
+    """``chars`` renumbered to the distinct code points in it, and their count.
+
+    ASCII code points are kept as they are.  Other text is renumbered so
+    that the mixed-radix token codes of :func:`_factorise` grow by the size
+    of the alphabet per code point, not by the largest code point.
+    """
+    if top < 1 << 8:
+        return chars, top + 1
+    blocks = range(0, chars.size, _CHUNK_BYTES)  # bounds numpy's intp copy of each index
+    rank = np.zeros(top + 1, dtype=np.int64)
+    for lo in blocks:
+        rank[chars[lo : lo + _CHUNK_BYTES]] = 1
+    np.cumsum(rank, out=rank)
+    base = int(rank[-1])
+    rank -= 1
+    dense = np.empty(chars.size, dtype=np.uint16 if base <= 1 << 16 else np.uint32)
+    for lo in blocks:
+        dense[lo : lo + _CHUNK_BYTES] = rank[chars[lo : lo + _CHUNK_BYTES]]
+    return dense, base
+
+
 def _first_line_error(bounds: np.ndarray, last_field: np.ndarray, empty: np.ndarray) -> str | None:
     """Message for the first ragged row or empty field, or None if there is none.
 
@@ -264,64 +307,143 @@ def _field_bounds(chars: np.ndarray, top: int, delimiter: str) -> tuple[np.ndarr
     return bounds, int(last_field[0]) + 1
 
 
-def _factorise(
-    chars: np.ndarray, base: int, starts: np.ndarray, stops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factorise the non-empty tokens ``chars[starts[k]:stops[k]]``, code points below ``base``.
+def _slices(text: str, starts: np.ndarray, stops: np.ndarray) -> list[str]:
+    """``text[starts[k]:stops[k]]`` for every k.
 
+    Positions become Python ints a block at a time; as whole lists they
+    would take more memory than short tokens themselves.
+    """
+    out: list[str] = []
+    for lo in range(0, starts.size, _SLICE_BLOCK):
+        hi = lo + _SLICE_BLOCK
+        out += map(text.__getitem__, map(slice, starts[lo:hi].tolist(), stops[lo:hi].tolist()))
+    return out
+
+
+def _str_ids(text: str, starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ids of the tokens ``text[starts[k]:stops[k]]`` as ``str`` dict keys, and their count."""
+    keys = _slices(text, starts, stops)
+    index = {key: j for j, key in enumerate(dict.fromkeys(keys))}
+    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys)), len(index)
+
+
+def _reads_as_str(n: int, steps: int, code_points: int) -> bool:
+    """Whether ``n`` tokens are cheaper to finish as ``str`` than in ``steps`` numpy steps."""
+    return n <= _STEP_TOKENS * steps + code_points // _CODE_POINTS_PER_TOKEN
+
+
+def _factorise(
+    text: str, chars: np.ndarray, base: int, starts: np.ndarray, stops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factorise the non-empty tokens ``text[starts[k]:stops[k]]``.
+
+    ``chars`` holds the code points of ``text`` as numbers below ``base``.
     Returns each token's code, in first-appearance order, and each code's
-    first token.  Every token still longer than ``i`` extends a mixed-radix
-    code by its code point at offset ``i``; whenever the radix exceeds the
-    token count the code is re-compressed to its distinct values.  Tokens
+    first token.  The tokens are ordered longest first, so the tokens longer
+    than ``i`` are always a prefix.  At each offset ``i`` they extend a
+    mixed-radix code by their code point at ``i``, re-compressed to its
+    distinct values before its radix outgrows a bincount over them.  Tokens
     that end at ``i`` take ids past those of shorter tokens, so equal ids
-    mean equal tokens, and the work at offset ``i`` touches only the tokens
-    longer than ``i``: O(characters) in all.  Reading stops early once the
-    tokens still being read all have distinct codes.  ``starts`` is used as
-    scratch.
+    mean equal tokens, and the work at ``i`` touches only the tokens longer
+    than ``i``: O(code points) in all.  Once those tokens all have distinct
+    codes they are done; once they are few or long enough that slicing them
+    as ``str`` costs less than the steps left (:func:`_reads_as_str`), they
+    are finished as dict keys.
     """
     n = starts.size
-    pos, end = starts, stops
-    code = np.zeros(n, dtype=np.int64)
-    radix = 1
-    ids = token = None  # token: the tokens still being read, once some have ended
-    n_ids = 0
-    while True:
-        code *= base
-        code += chars[pos]
-        radix *= base
-        pos += 1
-        done = pos == end
-        finished = bool(done.all())
-        if radix > n or finished:
-            values, _, code = tabulate._count_distinct(code, radix, inverse=True)
-            radix = values.size
-            # Distinct codes are distinct tokens, which also differ from the
-            # shorter tokens that ended before, whatever code points remain.
-            finished = finished or radix == code.size
-        if finished:
-            code += n_ids
-            if token is None:
-                ids = code
-            else:
-                ids[token] = code
+    lengths = stops - starts
+    longest = int(lengths.max())
+    if _reads_as_str(n, longest, int(lengths.sum())):
+        ids, _ = _str_ids(text, starts, stops)  # already in first-appearance order
+        return ids, np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))
+    if int(lengths.min()) == longest:
+        order = None
+        longer = np.zeros(longest + 1, dtype=np.int64)
+        longer[:-1] = n  # tokens longer than i
+    else:
+        key = longest - lengths
+        order = np.argsort(key.astype(np.uint16) if longest < 1 << 16 else key, kind="stable")
+        del key
+        starts, stops = starts[order], stops[order]
+        longer = n - np.cumsum(np.bincount(lengths[order], minlength=longest + 1))
+    del lengths
+    rest = np.cumsum(longer[::-1])[::-1].tolist()  # their code points at offsets i and on
+    longer = longer.tolist()
+    ids = np.empty(n, dtype=np.int64)
+    code = np.take(chars, starts).astype(np.int64)
+    radix, n_ids, m = base, 0, n
+    for i in range(1, longest + 1):
+        if longer[i] < m:  # tokens longer[i] : m end at i
+            np.add(code[longer[i] : m], n_ids, out=ids[longer[i] : m])
             n_ids += radix
+            m = longer[i]
+        if radix > m or radix * base > tabulate._BINCOUNT_SPAN * m:
+            values, _, code = tabulate._count_distinct(code[:m], radix, inverse=True)
+            radix = values.size
+            if radix == m:  # told apart: the code points left change nothing
+                np.add(code, n_ids, out=ids[:m])
+                n_ids += m
+                break
+        if _reads_as_str(m, longest - i, rest[i]):
+            str_ids, n_str = _str_ids(text, starts[:m], stops[:m])
+            np.add(str_ids, n_ids, out=ids[:m])
+            n_ids += n_str
             break
-        if done.any():
-            if token is None:
-                ids, token = np.empty(n, dtype=np.int64), np.arange(n)
-            values, _, inverse = tabulate._count_distinct(code[done], radix, inverse=True)
-            inverse += n_ids
-            ids[token[done]] = inverse
-            n_ids += values.size
-            going = ~done
-            token, pos, end, code = token[going], pos[going], end[going], code[going]
-    del pos, end, code, token
+        active = code[:m]
+        active *= base
+        active += np.take(chars[i:], starts[:m])
+        radix *= base
+    del code, starts, stops
+    if n_ids > n:  # leave at most n unused ids
+        values, _, ids = tabulate._count_distinct(ids, n_ids, inverse=True)
+        n_ids = values.size
+        del values
+    if order is not None:
+        row_ids = np.empty(n, dtype=np.int64)
+        row_ids[order] = ids
+        ids = row_ids
+        del row_ids, order
     first = np.full(n_ids, n, dtype=np.int64)
     np.minimum.at(first, ids, np.arange(n))
-    order = np.argsort(first)
+    ranked = np.argsort(first)  # unused ids, first at n, come last
     rank = np.empty(n_ids, dtype=np.int64)
-    rank[order] = np.arange(n_ids)
-    return rank[ids], first[order]
+    rank[ranked] = np.arange(n_ids)
+    return rank[ids], first[ranked[: np.count_nonzero(first < n)]]
+
+
+def _factorise_chunks(
+    text: str, chars: np.ndarray, base: int, starts: np.ndarray, stops: np.ndarray, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_factorise` over chunks of ``rows`` tokens, then over the chunks' first tokens.
+
+    A chunk's tokens lie in a short stretch of ``text`` that stays in cache
+    while its code points are read offset by offset.  Each chunk's first
+    tokens, in order, are the tokens' first appearances in the whole
+    column, so factorising them joins the chunks.  A chunk with as many
+    distinct tokens as half its size does not shrink the work, and the
+    column is then factorised whole.
+    """
+    n = starts.size
+    if n <= rows:
+        return _factorise(text, chars, base, starts, stops)
+    codes = np.empty(n, dtype=np.int64)
+    firsts = []
+    n_firsts = 0
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        chunk, first = _factorise(text, chars, base, starts[lo:hi], stops[lo:hi])
+        if not lo and 2 * first.size > hi:
+            return _factorise(text, chars, base, starts, stops)
+        chunk += n_firsts
+        codes[lo:hi] = chunk
+        first += lo
+        firsts.append(first)
+        n_firsts += first.size
+    first = np.concatenate(firsts)
+    joined, first_of_joined = _factorise_chunks(
+        text, chars, base, starts[first], stops[first], rows
+    )
+    return joined[codes], first[first_of_joined]
 
 
 def read_delimited(
@@ -338,9 +460,10 @@ def read_delimited(
     unreadable or empty input, ragged rows, empty fields (naming the first
     offending physical line) or a duplicate header name.
 
-    The text is read as one array of code points and every step after that
-    is a numpy pass over it, so time and memory are linear in its length;
-    only column names and distinct labels become ``str`` objects.
+    The text is read as one array of code points; lines, fields and
+    columns of short tokens are numpy passes over it, and long tokens are
+    sliced as ``str`` where that is cheaper, so time and memory are linear
+    in its length (see the module docstring).
     """
     check_delimiter(delimiter)
     text = _read_text(source)
@@ -349,10 +472,10 @@ def read_delimited(
     chars = _code_points(text)
     top = int(chars.max()) if chars.size else 0
     bounds, width = _field_bounds(chars, top, delimiter)
+    chars, base = _alphabet(chars, top)
 
     def field_text(fields: np.ndarray) -> list[str]:
-        ends = bounds[fields + 1].tolist()
-        return [text[s + 1 : e] for s, e in zip(bounds[fields].tolist(), ends)]
+        return _slices(text, bounds[fields] + 1, bounds[fields + 1])
 
     n_lines = (bounds.size - 1) // width
     if has_header:
@@ -366,10 +489,11 @@ def read_delimited(
         first, n_rows = 0, n_lines
     if not n_rows:
         raise DataError("empty input: no data rows")
+    rows = max(1, _CHUNK_BYTES * n_lines // (chars.size * chars.itemsize))
     columns = []
     for field, name in enumerate(names, start=first):
-        codes, first_token = _factorise(
-            chars, top + 1, bounds[field:-1:width] + 1, bounds[field + 1 :: width]
+        codes, first_token = _factorise_chunks(
+            text, chars, base, bounds[field:-1:width] + 1, bounds[field + 1 :: width], rows
         )
         labels = tuple(field_text(first_token * width + field))
         columns.append(CategoricalColumn(name=name, levels=len(labels), codes=codes, labels=labels))

@@ -1,7 +1,6 @@
 import hashlib
 import io as stringio
 import math
-import time
 import tracemalloc
 from unittest import mock
 
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catci import io as catci_io
 from catci import tabulate
 from catci.citest import ci_test
 from catci.core import CategoricalColumn, DataError, Dataset, TestSpec
@@ -203,21 +203,42 @@ def _token_tables(draw, alphabet="ab\0é", max_rows=150):
     return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
 
 
+# Settings that force each way _factorise can read a column: numpy steps to
+# the end, numpy steps that switch to str keys once few tokens are left,
+# str keys from the start, and numpy steps over chunks of a few rows.
+_NO_STR = {"_STEP_TOKENS": 0, "_CODE_POINTS_PER_TOKEN": 1 << 62}
+_READ_PATHS = {
+    "numpy": _NO_STR,
+    "switch": {"_STEP_TOKENS": 1, "_CODE_POINTS_PER_TOKEN": 1 << 62},
+    "str": {"_CODE_POINTS_PER_TOKEN": 1},
+    "chunks": {**_NO_STR, "_CHUNK_BYTES": 64},
+}
+
+
+def _read_by(path, text, span=None):
+    patches = {**_READ_PATHS[path]}
+    with mock.patch.multiple(catci_io, **patches):
+        if span is None:
+            return _read(text)
+        with mock.patch.object(tabulate, "_BINCOUNT_SPAN", span):
+            return _read(text)
+
+
 class TestReaderTokens:
     """Factorisation of token code points, against the line-by-line reference."""
 
+    @pytest.mark.parametrize("path", sorted(_READ_PATHS))
     @pytest.mark.parametrize("span", [0, tabulate._BINCOUNT_SPAN, 1 << 40])
     @given(text=_token_tables())
-    @settings(max_examples=150)
-    def test_same_as_reference_under_each_count_branch(self, span, text):
-        with mock.patch.object(tabulate, "_BINCOUNT_SPAN", span):
-            got = _read(text)
-        assert got == read_delimited_reference(text)
+    @settings(max_examples=60)
+    def test_same_as_reference_under_each_count_branch(self, span, path, text):
+        assert _read_by(path, text, span) == read_delimited_reference(text)
 
+    @pytest.mark.parametrize("path", sorted(_READ_PATHS))
     @given(text=_token_tables(alphabet="a\0日\U0001f600", max_rows=40))
-    @settings(max_examples=100)
-    def test_non_bmp_tokens(self, text):
-        assert _read(text) == read_delimited_reference(text)
+    @settings(max_examples=50)
+    def test_non_bmp_tokens(self, path, text):
+        assert _read_by(path, text) == read_delimited_reference(text)
 
     @given(text=_token_tables(alphabet="ab\0"), data=st.data())
     @settings(max_examples=100)
@@ -231,7 +252,7 @@ class TestReaderTokens:
         fields[col] = "\U0001f600" + fields[col]
         changed = "\n".join(lines[:row] + [",".join(fields)] + lines[row + 1 :]) + "\n"
         assert text.isascii() and not changed.isascii()
-        ascii_ds, wide_ds = _read(text), _read(changed)
+        ascii_ds, wide_ds = _read_by("numpy", text), _read_by("numpy", changed)
         assert wide_ds == read_delimited_reference(changed)
         for j, (a, b) in enumerate(zip(ascii_ds.columns, wide_ds.columns)):
             if j != col:
@@ -244,18 +265,20 @@ class TestReaderTokens:
     )
     def test_every_line_break(self, rows, breaks):
         text = "".join(",".join(r) + b for r, b in zip([["x", "y"]] + rows, breaks))
-        assert _read(text) == read_delimited_reference(text)
+        assert _read_by("numpy", text) == read_delimited_reference(text)
 
-    def test_all_tokens_distinct(self):
+    @pytest.mark.parametrize("path", sorted(_READ_PATHS))
+    def test_all_tokens_distinct(self, path):
         rng = np.random.default_rng(3)
         tokens = [f"t{i}" for i in rng.permutation(5000)] + ["\U0001f600", "\U0001f600x", "x"]
         text = "id,g\n" + "".join(f"{t},{i % 3}\n" for i, t in enumerate(tokens))
-        ds = _read(text)
+        ds = _read_by(path, text)
         assert ds == read_delimited_reference(text)
         assert ds.columns[0].labels == tuple(tokens)
         assert ds.columns[0].codes.tolist() == list(range(len(tokens)))
 
-    def test_long_tokens_force_recompression(self):
+    @pytest.mark.parametrize("path", sorted(_READ_PATHS))
+    def test_long_tokens_force_recompression(self, path):
         # 3000 rows of 30-character tokens over 40 distinct values, plus
         # prefixes of them: the code's radix passes the row count many times.
         rng = np.random.default_rng(5)
@@ -264,8 +287,18 @@ class TestReaderTokens:
         cells = rng.integers(0, len(values), (3000, 2)).tolist()
         text = "p,q\n" + "".join(f"{values[a]},{values[b]}\n" for a, b in cells)
         for span in (0, tabulate._BINCOUNT_SPAN, 1 << 40):
-            with mock.patch.object(tabulate, "_BINCOUNT_SPAN", span):
-                assert _read(text) == read_delimited_reference(text)
+            assert _read_by(path, text, span) == read_delimited_reference(text)
+
+    @pytest.mark.parametrize("path", ["numpy", "str"])
+    def test_alphabet_beyond_sixteen_bits(self, path):
+        # More than 2**16 distinct code points: the renumbered alphabet
+        # needs 32 bits, and tokens and labels are sliced in several blocks.
+        tokens = [chr(0x10000 + k) for k in range(70_000)]
+        tokens += [t + t for t in tokens[:50]] + tokens[:50]
+        text = "a\n" + "\n".join(tokens) + "\n"
+        ds = _read_by(path, text)
+        assert ds == read_delimited_reference(text)
+        assert ds.columns[0].levels == 70_050
 
 
 class TestReaderCost:
@@ -282,14 +315,23 @@ class TestReaderCost:
             counted.append(ids.size)
             return count_distinct(ids, *args, **kw)
 
-        start = time.perf_counter()
         with mock.patch.object(tabulate, "_count_distinct", counting):
-            ds = _read(text)
-        assert time.perf_counter() - start < 30
+            ds = _read_by("numpy", text)
         assert sum(counted) < len(text)
         assert ds.columns[0].labels[0] == "x" * 100_000
         assert ds.columns[0].codes[:3].tolist() == [0, 0, 1]
         assert ds.columns[0].levels == 11
+
+    def test_few_long_tokens_are_read_as_str(self):
+        # Two long tokens among 20k short ones would cost 100k numpy steps;
+        # sliced as str they cost one dict lookup each.
+        rows = "".join(f"{i % 10},{i % 3}\n" for i in range(20_000))
+        text = "a,b\n" + rows + ("x" * 100_000 + ",1\n") * 2
+        with mock.patch.object(catci_io, "_str_ids", wraps=catci_io._str_ids) as as_str, \
+                mock.patch.object(np, "take", wraps=np.take) as steps:
+            ds = _read(text)
+        assert ds == read_delimited_reference(text)
+        assert as_str.call_count and steps.call_count < 10
 
     def test_distinct_tokens_stop_early(self):
         # Once the tokens still being read are told apart, their remaining
@@ -298,7 +340,7 @@ class TestReaderCost:
         with mock.patch.object(
             tabulate, "_count_distinct", wraps=tabulate._count_distinct
         ) as counting:
-            ds = _read(text)
+            ds = _read_by("numpy", text)
         assert ds == read_delimited_reference(text)
         assert counting.call_count < 10
 
