@@ -12,7 +12,6 @@ from .citest import (
     chi2_statistic,
     ci_test,
     dof,
-    dof_adjusted,
     g2_statistic,
     log_sf_chisq,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "ci_model",
     "ci_test",
     "dof",
-    "dof_adjusted",
     "emit_report",
     "expected_ci",
     "g2_statistic",

@@ -32,36 +32,25 @@ from .core import (
     TestSpec,
     validate_spec,
 )
-from .tabulate import SliceMarginals
 
 _SERIES_MAX_TERMS = 100_000
 _CF_MAX_TERMS = 100_000
 
 
-def _flat_counts(observed: ContingencyTable | np.ndarray) -> np.ndarray:
+def _cells(
+    observed: ContingencyTable | np.ndarray, expected: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Observed counts and expected frequencies, both flat in the table's cell order.
+
+    Arrays shaped like the table are flattened with the first axis fastest.
+    """
     if isinstance(observed, ContingencyTable):
-        if not observed.is_dense:
-            raise ValueError("statistics need dense table storage")
-        return observed.dense
-    arr = np.asarray(observed)
-    return arr.ravel(order="F")
-
-
-def _flat_expected(expected: np.ndarray, n_cells: int, dims: tuple[int, ...] | None) -> np.ndarray:
-    arr = np.asarray(expected, dtype=np.float64)
-    if dims is not None and arr.shape == dims:
-        arr = arr.ravel(order="F")
-    elif arr.ndim != 1:
-        arr = arr.ravel(order="F")
-    if arr.size != n_cells:
-        raise ValueError(f"expected frequencies have {arr.size} cells, observed has {n_cells}")
-    return arr
-
-
-def _dims_of(observed: ContingencyTable | np.ndarray) -> tuple[int, ...] | None:
-    if isinstance(observed, ContingencyTable):
-        return observed.dims
-    return np.asarray(observed).shape
+        observed = observed.dense
+    obs = np.asarray(observed).ravel(order="F")
+    exp = np.asarray(expected, dtype=np.float64).ravel(order="F")
+    if exp.size != obs.size:
+        raise ValueError(f"expected frequencies have {exp.size} cells, observed has {obs.size}")
+    return obs, exp
 
 
 def g2_statistic(observed: ContingencyTable | np.ndarray, expected: np.ndarray) -> float:
@@ -71,8 +60,7 @@ def g2_statistic(observed: ContingencyTable | np.ndarray, expected: np.ndarray) 
     expectation is an error (it cannot arise from conditional-independence
     expected frequencies, where ``N > 0`` forces both margins positive).
     """
-    obs = _flat_counts(observed)
-    exp = _flat_expected(expected, obs.size, _dims_of(observed))
+    obs, exp = _cells(observed, expected)
     pos = obs > 0
     n = obs[pos].astype(np.float64)
     e = exp[pos]
@@ -88,8 +76,7 @@ def chi2_statistic(observed: ContingencyTable | np.ndarray, expected: np.ndarray
     Cells with ``E == 0`` (forcing ``N == 0`` under conditional-independence
     expectations) contribute nothing.
     """
-    obs = _flat_counts(observed)
-    exp = _flat_expected(expected, obs.size, _dims_of(observed))
+    obs, exp = _cells(observed, expected)
     if np.any((obs > 0) & (exp <= 0)):
         raise ValueError("zero expected frequency at an occupied cell")
     pos = exp > 0
@@ -102,13 +89,6 @@ def dof(levels_x: int, levels_y: int, levels_cs: Sequence[int] = ()) -> int:
     if levels_x < 1 or levels_y < 1 or any(d < 1 for d in levels_cs):
         raise ValueError("level counts must be >= 1")
     return (levels_x - 1) * (levels_y - 1) * math.prod(levels_cs)
-
-
-def dof_adjusted(levels_x: int, levels_y: int, marginals: SliceMarginals) -> int:
-    """Degrees of freedom counting only conditioning combinations that occur."""
-    if levels_x < 1 or levels_y < 1:
-        raise ValueError("level counts must be >= 1")
-    return (levels_x - 1) * (levels_y - 1) * marginals.occupied_slices
 
 
 def log_sf_chisq(stat: float, dof: int) -> float:

@@ -117,6 +117,10 @@ def _read_pairs(args: argparse.Namespace, data: Dataset) -> list[TestSpec]:
     cs = _parse_cs(args.cs, data)
     if args.pairs == "all":
         candidates = [i for i in range(data.n_cols) if i not in cs]
+        if len(candidates) < 2:
+            raise SpecError(
+                f"--pairs all needs two columns outside --cs, found {len(candidates)}"
+            )
         return [TestSpec(x=i, y=j, cs=cs) for i, j in combinations(candidates, 2)]
     try:
         text = Path(args.pairs).read_text(encoding="utf-8")

@@ -13,11 +13,6 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-# build_table stores tables with at most this many cells densely; larger
-# ones switch to a sparse map keyed by the mixed-radix cell index.  ci_test
-# does not go through it: it tabulates over the occupied strata only.
-DENSE_CELL_LIMIT = 1 << 24
-
 
 class DataError(ValueError):
     """Raised for malformed datasets or unreadable input files."""
@@ -201,68 +196,41 @@ def validate_spec(spec: TestSpec, data: Dataset) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ContingencyTable:
-    """Multi-way cell counts over a variable subset.
+    """Multi-way cell counts over a variable subset, stored densely.
 
     Cells are addressed by a mixed-radix index with the *first* dimension
     varying fastest: ``flat = v0 + dims[0]*(v1 + dims[1]*(v2 + ...))``.
-    Storage is a dense flat array when ``n_cells <= DENSE_CELL_LIMIT``,
-    otherwise two parallel arrays of sorted occupied flat indices and counts.
 
     Attributes:
         dims: Level count per tabulated variable, in tabulation order.
         total: Number of dataset rows tabulated (= sum of all cells).
-        dense: Flat count array of length ``prod(dims)``, or ``None``.
-        sparse_index: Sorted flat indices of occupied cells, or ``None``.
-        sparse_count: Counts matching ``sparse_index``, or ``None``.
+        dense: Flat count array of length ``prod(dims)``.
     """
 
     dims: tuple[int, ...]
     total: int
-    dense: np.ndarray | None = None
-    sparse_index: np.ndarray | None = None
-    sparse_count: np.ndarray | None = None
+    dense: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if any(d < 1 for d in self.dims):
             raise DataError(f"table dims must be >= 1, got {self.dims}")
-        if (self.dense is None) == (self.sparse_index is None):
-            raise DataError("exactly one of dense / sparse storage must be set")
-        if self.dense is not None:
-            dense = np.ascontiguousarray(self.dense, dtype=np.int64)
-            if dense.shape != (self.n_cells,):
-                raise DataError(
-                    f"dense storage has {dense.size} cells, dims {self.dims} need {self.n_cells}"
-                )
-            if dense.size and int(dense.min()) < 0:
-                raise DataError("negative cell count")
-            if int(dense.sum()) != self.total:
-                raise DataError(f"cell counts sum to {int(dense.sum())}, total is {self.total}")
-            object.__setattr__(self, "dense", _freeze(dense))
-        else:
-            idx = np.ascontiguousarray(self.sparse_index, dtype=np.int64)
-            cnt = np.ascontiguousarray(self.sparse_count, dtype=np.int64)
-            if idx.shape != cnt.shape or idx.ndim != 1:
-                raise DataError("sparse index/count arrays must be parallel 1-d arrays")
-            if idx.size:
-                if int(idx.min()) < 0 or int(idx.max()) >= self.n_cells:
-                    raise DataError("sparse cell index out of range")
-                if np.any(np.diff(idx) <= 0):
-                    raise DataError("sparse cell indices must be strictly increasing")
-                if int(cnt.min()) <= 0:
-                    raise DataError("sparse storage must hold positive counts only")
-            if int(cnt.sum()) != self.total:
-                raise DataError(f"cell counts sum to {int(cnt.sum())}, total is {self.total}")
-            object.__setattr__(self, "sparse_index", _freeze(idx))
-            object.__setattr__(self, "sparse_count", _freeze(cnt))
+        if self.dense is None:
+            raise DataError("table needs dense storage, got None")
+        dense = np.ascontiguousarray(self.dense, dtype=np.int64)
+        if dense.shape != (self.n_cells,):
+            raise DataError(
+                f"dense storage has {dense.size} cells, dims {self.dims} need {self.n_cells}"
+            )
+        if dense.size and int(dense.min()) < 0:
+            raise DataError("negative cell count")
+        if int(dense.sum()) != self.total:
+            raise DataError(f"cell counts sum to {int(dense.sum())}, total is {self.total}")
+        object.__setattr__(self, "dense", _freeze(dense))
 
     @property
     def n_cells(self) -> int:
         return math.prod(self.dims)
-
-    @property
-    def is_dense(self) -> bool:
-        return self.dense is not None
 
     def count_at(self, coords: Sequence[int]) -> int:
         """Cell count at one coordinate tuple (slow; for small tables/tests)."""
@@ -275,40 +243,17 @@ class ContingencyTable:
                 raise DataError(f"coordinate {v} out of range [0, {d})")
             flat += stride * int(v)
             stride *= d
-        if self.dense is not None:
-            return int(self.dense[flat])
-        pos = int(np.searchsorted(self.sparse_index, flat))
-        if pos < self.sparse_index.size and int(self.sparse_index[pos]) == flat:
-            return int(self.sparse_count[pos])
-        return 0
+        return int(self.dense[flat])
 
     def as_array(self) -> np.ndarray:
-        """Counts as an ndarray shaped ``dims`` (materializes sparse storage)."""
-        if self.n_cells > DENSE_CELL_LIMIT and not self.is_dense:
-            raise DataError(f"table with {self.n_cells} cells is too large to materialize")
-        if self.dense is not None:
-            flat = self.dense
-        else:
-            flat = np.zeros(self.n_cells, dtype=np.int64)
-            flat[self.sparse_index] = self.sparse_count
-        return flat.reshape(self.dims, order="F")
+        """Counts as an ndarray shaped ``dims``."""
+        return self.dense.reshape(self.dims, order="F")
 
     def __eq__(self, other: object) -> bool:
-        """Cell-by-cell equality, independent of dense/sparse storage."""
+        """Cell-by-cell equality."""
         if not isinstance(other, ContingencyTable):
             return NotImplemented
-        if self.dims != other.dims or self.total != other.total:
-            return False
-        return np.array_equal(self._occupied()[0], other._occupied()[0]) and np.array_equal(
-            self._occupied()[1], other._occupied()[1]
-        )
-
-    def _occupied(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted flat indices, counts) of occupied cells."""
-        if self.dense is not None:
-            idx = np.flatnonzero(self.dense)
-            return idx, self.dense[idx]
-        return self.sparse_index, self.sparse_count
+        return self.dims == other.dims and np.array_equal(self.dense, other.dense)
 
 
 @dataclass(frozen=True)

@@ -86,11 +86,6 @@ def ipf_fit(
         )
     if table.total == 0:
         raise DataError("cannot fit a model to an empty table")
-    if not table.is_dense:
-        raise DataError(
-            "model fitting requires dense table storage; ci_test fits its "
-            "occupied-strata table instead, at any conditioning-set size"
-        )
     if tol <= 0:
         raise ValueError("tol must be positive")
 

@@ -21,10 +21,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import core
 from .core import ContingencyTable, DataError, Dataset, SpecError, _freeze
 
-# Flat tables beyond this index range would overflow int64 arithmetic.
+# Stacked cell ids beyond this range would overflow int64 arithmetic.
 _MAX_CELLS = 1 << 62
 
 # Id spaces up to this multiple of the id count are counted with bincount and
@@ -41,23 +40,17 @@ class SliceMarginals:
     """Per-conditioning-combination marginals of an ``(x, y, z...)`` table.
 
     Row ``s`` of ``n_xz`` / ``n_yz`` / ``n_z`` holds ``N_{x+z}``, ``N_{+yz}``
-    and ``N_{++z}`` for one z-combination.  For dense tables all ``n_slices``
-    combinations are present in order; for sparse tables only occupied
-    combinations appear and ``z_index`` records their flat z indices.
-    The unconditional case is the single-slice instance (``n_slices == 1``).
+    and ``N_{++z}`` for z-combination ``s``; all ``n_slices`` combinations
+    are present, in flat order, empty ones included.  The unconditional case
+    is the single-slice instance (``n_slices == 1``).
     """
 
     dims_xy: tuple[int, int]
     n_slices: int
-    z_index: np.ndarray | None
     n_xz: np.ndarray
     n_yz: np.ndarray
     n_z: np.ndarray
     total: int
-
-    @property
-    def is_compressed(self) -> bool:
-        return self.z_index is not None
 
     @property
     def occupied_slices(self) -> int:
@@ -246,16 +239,21 @@ def occupied_cells(data: Dataset, x: int, y: int, cs: Sequence[int] = ()) -> Occ
     return cells
 
 
-def build_table(
-    data: Dataset, variables: Sequence[int], *, dense_limit: int | None = None
-) -> ContingencyTable:
+# build_table allocates every cell of its table; beyond this many it refuses.
+_TABLE_CELLS = 1 << 24
+
+
+def build_table(data: Dataset, variables: Sequence[int]) -> ContingencyTable:
     """Cross-tabulate the given columns in one pass over the rows.
 
     An empty variable list yields the scalar table holding ``n_rows``.
-    ``dense_limit`` overrides the storage threshold (tests force sparse
-    storage on small tables with it).
+
+    Raises:
+        DataError: if the table would have more than 2²⁴ cells; nothing is
+            allocated then.  Tests on large conditioning sets go through
+            ``ci_test`` or :func:`occupied_cells`, which count occupied
+            strata only.
     """
-    limit = core.DENSE_CELL_LIMIT if dense_limit is None else dense_limit
     variables = tuple(int(v) for v in variables)
     for v in variables:
         if not 0 <= v < data.n_cols:
@@ -264,26 +262,20 @@ def build_table(
         dup = next(v for i, v in enumerate(variables) if v in variables[:i])
         raise SpecError(f"table variable index {dup} listed twice")
 
-    n = data.n_rows
-    if not variables:
-        return ContingencyTable(dims=(), total=n, dense=np.array([n], dtype=np.int64))
-
     dims = tuple(data.levels(v) for v in variables)
     n_cells = math.prod(dims)
-    if n_cells > _MAX_CELLS:
-        raise DataError(f"table with {n_cells} cells exceeds the addressable range")
-
-    flat = np.zeros(n, dtype=np.int64)
+    if n_cells > _TABLE_CELLS:
+        raise DataError(
+            f"table with {n_cells} cells exceeds the {_TABLE_CELLS}-cell limit; "
+            "ci_test and occupied_cells tabulate the occupied strata only"
+        )
+    flat = np.zeros(data.n_rows, dtype=np.int64)
     stride = 1
     for v, d in zip(variables, dims):
         flat += stride * data.columns[v].codes
         stride *= d
-
-    if n_cells <= limit:
-        cells = np.bincount(flat, minlength=n_cells).astype(np.int64, copy=False)
-        return ContingencyTable(dims=dims, total=n, dense=cells)
-    index, count = np.unique(flat, return_counts=True)
-    return ContingencyTable(dims=dims, total=n, sparse_index=index, sparse_count=count)
+    cells = np.bincount(flat, minlength=n_cells)
+    return ContingencyTable(dims=dims, total=data.n_rows, dense=cells)
 
 
 def table_from_counts(counts: np.ndarray | Sequence) -> ContingencyTable:
@@ -310,38 +302,14 @@ def slice_marginals(table: ContingencyTable) -> SliceMarginals:
         raise DataError("slice marginals need a table with at least x and y dimensions")
     dx, dy = table.dims[0], table.dims[1]
     n_slices = math.prod(table.dims[2:])
-    block = dx * dy
-
-    if table.is_dense:
-        # [z, y, x] view of the flat buffer: z blocks are contiguous.
-        arr = table.dense.reshape(n_slices, dy, dx)
-        return SliceMarginals(
-            dims_xy=(dx, dy),
-            n_slices=n_slices,
-            z_index=None,
-            n_xz=_freeze(arr.sum(axis=1)),
-            n_yz=_freeze(arr.sum(axis=2)),
-            n_z=_freeze(arr.sum(axis=(1, 2))),
-            total=table.total,
-        )
-
-    index, count = table.sparse_index, table.sparse_count
-    z = index // block
-    xy = index - z * block
-    x = xy % dx
-    y = xy // dx
-    z_vals, z_inv = np.unique(z, return_inverse=True)
-    s = z_vals.size
-    n_xz = np.bincount(z_inv * dx + x, weights=count, minlength=s * dx)
-    n_yz = np.bincount(z_inv * dy + y, weights=count, minlength=s * dy)
-    n_z = np.bincount(z_inv, weights=count, minlength=s)
+    # [z, y, x] view of the flat buffer: z blocks are contiguous.
+    arr = table.dense.reshape(n_slices, dy, dx)
     return SliceMarginals(
         dims_xy=(dx, dy),
         n_slices=n_slices,
-        z_index=_freeze(z_vals),
-        n_xz=_freeze(n_xz.astype(np.int64).reshape(s, dx)),
-        n_yz=_freeze(n_yz.astype(np.int64).reshape(s, dy)),
-        n_z=_freeze(n_z.astype(np.int64)),
+        n_xz=_freeze(arr.sum(axis=1)),
+        n_yz=_freeze(arr.sum(axis=2)),
+        n_z=_freeze(arr.sum(axis=(1, 2))),
         total=table.total,
     )
 
@@ -353,8 +321,6 @@ def expected_ci(marginals: SliceMarginals) -> np.ndarray:
     observations get all-zero expectations.  The result is a flat float
     array in the source table's cell layout.
     """
-    if marginals.is_compressed:
-        raise DataError("expected frequencies need uncompressed marginals of a dense table")
     n_xz = marginals.n_xz.astype(np.float64)
     n_yz = marginals.n_yz.astype(np.float64)
     n_z = marginals.n_z.astype(np.float64)

@@ -15,7 +15,6 @@ from catci.citest import (
     chi2_statistic,
     ci_test,
     dof,
-    dof_adjusted,
     g2_statistic,
     log_sf_chisq,
 )
@@ -112,28 +111,24 @@ class TestDof:
 class TestDofAdjusted:
     def test_no_empty_strata_equals_nominal(self, rng):
         data = make_dataset(rng, 2000, (3, 4, 2))
-        m = slice_marginals(build_table(data, (0, 1, 2)))
-        assert dof_adjusted(3, 4, m) == dof(3, 4, (2,))
+        assert ci_test(data, TestSpec(0, 1, (2,))).dof_adjusted == dof(3, 4, (2,))
 
     def test_single_occupied_stratum(self):
-        arr = np.zeros((3, 4, 5), dtype=int)
-        arr[:, :, 2] = 1
-        m = slice_marginals(table_from_counts(arr))
-        assert dof_adjusted(3, 4, m) == 6
+        # Every (x, y) once, all in stratum 2 of a Z with 5 labelled levels.
+        xs, ys = np.divmod(np.arange(12), 4)
+        columns = tuple(
+            CategoricalColumn(name, levels, codes, labels=tuple(map(str, range(levels))))
+            for name, levels, codes in (("x", 3, xs), ("y", 4, ys), ("z", 5, np.full(12, 2)))
+        )
+        res = ci_test(Dataset(n_rows=12, columns=columns), TestSpec(0, 1, (2,)))
+        assert (res.dof, res.dof_adjusted, res.empty_strata) == (30, 6, 4)
 
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
     def test_occupancy_count_oracle(self, n, seed):
         rng = np.random.default_rng(seed)
         data = make_dataset(rng, n, (3, 4, 3, 4))
-        t = build_table(data, (0, 1, 2, 3))
-        m = slice_marginals(t)
-        arr = t.as_array()
-        occupied = sum(
-            1
-            for z in itertools.product(range(3), range(4))
-            if arr[(slice(None), slice(None)) + z].sum() > 0
-        )
-        assert dof_adjusted(3, 4, m) == 2 * 3 * occupied
+        occupied = len(set(zip(data.columns[2].codes.tolist(), data.columns[3].codes.tolist())))
+        assert ci_test(data, TestSpec(0, 1, (2, 3))).dof_adjusted == 2 * 3 * occupied
 
 
 class TestLogSfChisq:

@@ -251,6 +251,18 @@ class TestCmdBatch:
         assert all("X" not in (r["x"], r["y"]) for r in rows)
         assert all(r["cs"] == ["X"] for r in rows)
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_all_pairs_need_two_free_columns(self, tmp_path, capsys, fmt):
+        path = tmp_path / "abc.csv"
+        path.write_text("a,b,c\nu,1,k\nv,2,k\n")
+        code, out, err = run_cli(
+            capsys,
+            ["batch", "--data", str(path), "--pairs", "all", "--cs", "a,b", "--format", fmt],
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: --pairs all needs two columns outside --cs, found 1\n"
+
     def test_pairs_file_overlap_reports_position(self, wide_file, tmp_path, capsys):
         pairs = tmp_path / "pairs.txt"
         pairs.write_text("X Y\nY Y\n")

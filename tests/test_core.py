@@ -14,7 +14,7 @@ from catci.core import (
     TestSpec,
     validate_spec,
 )
-from catci.tabulate import build_table
+from catci.tabulate import build_table, table_from_counts
 
 from conftest import make_dataset
 
@@ -138,33 +138,27 @@ class TestContingencyTable:
         with pytest.raises(DataError, match="storage"):
             ContingencyTable(dims=(2,), total=2, dense=None)
 
-    def test_sparse_must_be_sorted_positive(self):
-        with pytest.raises(DataError, match="increasing"):
-            ContingencyTable(
-                dims=(4,), total=2,
-                sparse_index=np.array([2, 1]), sparse_count=np.array([1, 1]),
-            )
-        with pytest.raises(DataError, match="positive"):
-            ContingencyTable(
-                dims=(4,), total=1,
-                sparse_index=np.array([1, 2]), sparse_count=np.array([1, 0]),
-            )
-
     def test_count_at_and_as_array(self):
         t = ContingencyTable(dims=(2, 2), total=4, dense=np.array([1, 2, 1, 0]))
         # flat layout: x fastest, so [x=1, y=0] is flat index 1
         assert t.count_at((1, 0)) == 2
         assert t.as_array().tolist() == [[1, 1], [2, 0]]
 
-    def test_dense_and_sparse_compare_equal_cellwise(self, rng):
+    def test_tables_compare_equal_cellwise(self, rng):
         data = make_dataset(rng, 300, (3, 4, 2))
-        dense = build_table(data, (0, 1, 2))
-        sparse = build_table(data, (0, 1, 2), dense_limit=1)
-        assert dense.is_dense and not sparse.is_dense
-        assert dense == sparse
-        assert np.array_equal(dense.as_array(), sparse.as_array())
+        table = build_table(data, (0, 1, 2))
+        arr = table.as_array()
+        assert table == table_from_counts(arr)
         for coords in [(0, 0, 0), (2, 3, 1), (1, 2, 0)]:
-            assert dense.count_at(coords) == sparse.count_at(coords)
+            assert table.count_at(coords) == arr[coords]
+        # Move one row to another cell: same dims and total, one cell differs.
+        moved = arr.copy()
+        src = np.unravel_index(np.flatnonzero(moved)[0], moved.shape)
+        dst = tuple(d - 1 - c for d, c in zip(moved.shape, src))
+        moved[src] -= 1
+        moved[dst] += 1
+        assert table != table_from_counts(moved)
+        assert table != table_from_counts(arr.reshape(4, 3, 2))
 
 
 class TestResultInvariants:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestBuildTable:
         with pytest.raises(SpecError, match="twice"):
             build_table(small_dataset, (0, 0))
 
+    def test_over_cell_cap_raises_before_allocating(self, rng):
+        data = make_dataset(rng, 100, (4,) * 14)  # 2**28 nominal cells
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"{4**14} cells.*occupied_cells"):
+                build_table(data, range(14))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @given(
         n=st.integers(1, 60),
         levels=st.lists(st.integers(1, 4), min_size=1, max_size=4),
@@ -102,17 +114,6 @@ class TestSliceMarginals:
             assert m.n_yz[s].tolist() == n_yz[z]
             assert int(m.n_z[s]) == n_z[z]
 
-    def test_sparse_agrees_with_dense(self, rng):
-        data = make_dataset(rng, 250, (3, 4, 2, 2))
-        dense = slice_marginals(build_table(data, (0, 1, 2, 3)))
-        sparse = slice_marginals(build_table(data, (0, 1, 2, 3), dense_limit=1))
-        assert sparse.is_compressed
-        occ = np.flatnonzero(dense.n_z)
-        assert sparse.z_index.tolist() == occ.tolist()
-        assert np.array_equal(sparse.n_xz, dense.n_xz[occ])
-        assert np.array_equal(sparse.n_yz, dense.n_yz[occ])
-        assert np.array_equal(sparse.n_z, dense.n_z[occ])
-
 
 class TestExpectedCI:
     def test_uniform_table(self):
@@ -136,12 +137,6 @@ class TestExpectedCI:
         e = expected_ci(slice_marginals(table_from_counts(arr))).reshape((2, 2, 2), order="F")
         assert np.all(e[:, :, 1] == 0)
         assert e[:, :, 0].sum() == pytest.approx(12)
-
-    def test_compressed_marginals_rejected(self, rng):
-        data = make_dataset(rng, 100, (2, 2, 2))
-        m = slice_marginals(build_table(data, (0, 1, 2), dense_limit=1))
-        with pytest.raises(DataError, match="uncompressed"):
-            expected_ci(m)
 
     @given(
         n=st.integers(2, 120),
