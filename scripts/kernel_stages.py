@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Time the stages of one closed-form ci_test, for one or more source trees.
+
+Per test it reports, in microseconds (medians over the calls of a process,
+then over the processes of a tree):
+
+    ci_test       the whole call, untimed stages
+    strata_code   tabulate._strata_code: the Z code of the rows
+    cells         the rest of tabulate.stacked_cells: counting the cells
+    closed_form   citest._closed_form: marginals, terms and sums
+    log_sf        the two citest.log_sf_chisq calls
+    other         ci_test minus the four stages (validation, the result)
+
+The stages are timed in separate calls from ``ci_test``, by wrappers
+swapped onto the module attributes, so their sum includes the wrappers'
+own cost.  The shapes:
+
+    hc6 .. hc12   X3, Y4 and k four-level Z columns (the high_card_z workload)
+    z2, z2x4, z2x4x4   X3, Y4 with the paper's conditioning sets
+
+All columns are drawn uniformly with a fixed seed.  Every tree runs in a
+fresh process, and the trees alternate, starting with a different one each
+round.  Run from the root of a checkout, e.g. to compare with another
+checkout:
+
+    python3 scripts/kernel_stages.py --src ../parent/src src --rounds 5
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from time import perf_counter_ns
+
+import numpy as np
+
+SHAPES = {f"hc{k}": (3, 4) + (4,) * k for k in range(6, 13)}
+SHAPES.update({"z2": (3, 4, 2), "z2x4": (3, 4, 2, 4), "z2x4x4": (3, 4, 2, 4, 4)})
+STAGES = ("ci_test", "strata_code", "cells", "closed_form", "log_sf", "other")
+
+
+def _child(src: str, shape: str, rows: int, calls: int) -> None:
+    sys.path.insert(0, src)
+    from catci import citest, tabulate
+    from catci.core import CategoricalColumn, Dataset, TestSpec
+
+    rng = np.random.default_rng(list(SHAPES).index(shape))
+    levels = SHAPES[shape]
+    data = Dataset(rows, tuple(
+        CategoricalColumn(f"V{j}", d, rng.integers(0, d, size=rows),
+                          labels=tuple(map(str, range(d))))
+        for j, d in enumerate(levels)
+    ))
+    spec = TestSpec(0, 1, tuple(range(2, len(levels))))
+
+    def run() -> int:
+        start = perf_counter_ns()
+        citest.ci_test(data, spec)
+        return perf_counter_ns() - start
+
+    run()
+    whole = [run() for _ in range(calls)]
+
+    spent = dict.fromkeys(STAGES[1:5], 0)
+
+    def timed(module, name, stage):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            start = perf_counter_ns()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[stage] += perf_counter_ns() - start
+
+        setattr(module, name, wrapper)
+
+    def timed_generator(module, name, stage):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            items = fn(*args, **kwargs)
+            while True:
+                start = perf_counter_ns()
+                try:
+                    item = next(items)
+                except StopIteration:
+                    return
+                finally:
+                    spent[stage] += perf_counter_ns() - start
+                yield item
+
+        setattr(module, name, wrapper)
+
+    timed(tabulate, "_strata_code", "strata_code")
+    timed_generator(tabulate, "stacked_cells", "cells")
+    timed(citest, "_closed_form", "closed_form")
+    timed(citest, "log_sf_chisq", "log_sf")
+    per_call = {stage: [] for stage in STAGES[1:5]}
+    for _ in range(calls):
+        before = dict(spent)
+        citest.ci_test(data, spec)
+        for stage in per_call:
+            per_call[stage].append(spent[stage] - before[stage])
+    # stacked_cells' time includes the _strata_code call it makes.
+    per_call["cells"] = [c - s for c, s in zip(per_call["cells"], per_call["strata_code"])]
+    row = {stage: statistics.median(ns) / 1e3 for stage, ns in per_call.items()}
+    row["ci_test"] = statistics.median(whole) / 1e3
+    row["other"] = row["ci_test"] - sum(row[stage] for stage in per_call)
+    print(json.dumps(row))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", nargs="+", default=["src"], help="source trees holding catci")
+    parser.add_argument("--shapes", nargs="+", choices=list(SHAPES), default=list(SHAPES))
+    parser.add_argument("--rows", type=int, default=3000)
+    parser.add_argument("--rounds", type=int, default=3, help="processes per shape and tree")
+    parser.add_argument("--calls", type=int, default=200, help="tests per process and mode")
+    parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        _child(args.child[0], args.child[1], int(args.child[2]), int(args.child[3]))
+        return 0
+
+    for shape in args.shapes:
+        runs = {src: [] for src in args.src}
+        for r in range(args.rounds):
+            shift = r % len(args.src)
+            for src in args.src[shift:] + args.src[:shift]:
+                out = subprocess.run(
+                    [sys.executable, __file__, "--child", src, shape, str(args.rows), str(args.calls)],
+                    check=True, capture_output=True, text=True,
+                ).stdout
+                runs[src].append(json.loads(out))
+        row = {"shape": shape, "rows": args.rows}
+        for src, results in runs.items():
+            row[src] = {
+                stage: round(statistics.median(res[stage] for res in results), 1)
+                for stage in STAGES
+            }
+        print(json.dumps(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,7 @@ any relabeling of the variable levels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
@@ -35,6 +36,12 @@ from .core import (
 
 _SERIES_MAX_TERMS = 100_000
 _CF_MAX_TERMS = 100_000
+
+# _closed_form folds the cells that add exactly nothing to G² when they are
+# more than this share of a stack; either way the sums are the same.  Folding
+# costs about 10 µs a stack and pays from a share of about 0.1-0.25 on
+# tables of 300-10k cells; smaller tables need a larger share.
+_FOLD_SHARE = 0.5
 
 
 def _cells(
@@ -166,7 +173,11 @@ def _closed_form(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
     Σ (N - E)² / E over all cells with E > 0 equals Σ N² / E - n, and only
     occupied cells enter that sum.  The terms of the whole stack come from
     one vectorised pass; each table's are then summed exactly, so its
-    statistics do not depend on the other tables in the stack.
+    statistics do not depend on the other tables in the stack.  A cell
+    whose terms come out as exactly 0 and exactly N (one X or one Y level in
+    its stratum, say) adds nothing to the G² sum and N to the other; when
+    such cells are most of the stack, each table's are summed as one exact
+    integer term, which leaves the correctly rounded sums unchanged.
     """
     dx, dy = cells.dims_xy
     n = cells.count.astype(np.float64)
@@ -176,16 +187,30 @@ def _closed_form(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
     n_yz = np.bincount(yz, weights=n)
     n_z = np.bincount(cells.stratum, weights=n)
     e = n_xz[xz] * n_yz[yz] / n_z[cells.stratum]
-    g2_terms = (2.0 * n * np.log(n / e)).tolist()
-    chi2_terms = (n * n / e).tolist()
+    g2 = 2.0 * n * np.log(n / e)
+    chi2 = n * n / e
     bounds = cells.bounds
+    folded = []
+    # Only a cell with a zero G² term can fold, and counting those is cheap.
+    # (int(): comparing a numpy integer with a float costs microseconds.)
+    if g2.size - int(np.count_nonzero(g2)) > _FOLD_SHARE * g2.size:
+        fold = (g2 == 0.0) & (chi2 == n)
+        if int(np.count_nonzero(fold)) > _FOLD_SHARE * fold.size:
+            keep = ~fold
+            starts = bounds[:-1]
+            folded = np.add.reduceat(cells.count * fold, starts).tolist()
+            kept = np.add.reduceat(keep, starts, dtype=np.int64).tolist()
+            bounds = (0, *itertools.accumulate(kept))
+            g2, chi2 = g2[keep], chi2[keep]
+    g2_terms = g2.tolist()
+    chi2_terms = chi2.tolist()
     if len(bounds) == 2:  # one table: sum the whole lists, not copies
         tables = [(g2_terms, chi2_terms)]
     else:
         tables = [(g2_terms[a:b], chi2_terms[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return [
-        (max(0.0, math.fsum(g2)), max(0.0, math.fsum(chi2) - cells.total)) for g2, chi2 in tables
-    ]
+    for (_, terms), total in zip(tables, folded):
+        terms.append(total)
+    return [(max(0.0, math.fsum(g)), max(0.0, math.fsum(c) - cells.total)) for g, c in tables]
 
 
 def _result(

@@ -63,7 +63,11 @@ class CategoricalColumn:
                     f"found range [{lo}, {hi}]"
                 )
         if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(t) for t in self.labels))
+            labels = tuple(self.labels)
+            # Readers pass str labels already: check them without a Python-level loop.
+            if not all(map(str.__instancecheck__, labels)):
+                labels = tuple(map(str, labels))
+            object.__setattr__(self, "labels", labels)
             if len(self.labels) != self.levels:
                 raise DataError(
                     f"column {self.name!r}: {len(self.labels)} labels for {self.levels} levels"

@@ -7,10 +7,11 @@ variable fastest, so each conditioning combination owns one contiguous
 ``dx * dy`` block.
 
 :func:`stacked_cells` is the tabulation behind ``ci_test`` and
-``batch_screen``: it compresses a conditioning set to its occupied strata
-once, while indexing, and tabulates every pair that shares it against that
-index, so its memory grows with the rows and the occupied strata, never
-with ``prod |Z_i|`` or the number of pairs.
+``batch_screen``: it indexes a conditioning set once, compressing it to
+its occupied strata at most once (and, for a single pair, only when the
+cell code would overflow), and tabulates every pair that shares it
+against that index, so its memory grows with the rows and the occupied
+strata, never with ``prod |Z_i|`` or the number of pairs.
 """
 
 from __future__ import annotations
@@ -112,27 +113,34 @@ def _count_distinct(
     return values, counts, None
 
 
-def _strata_code(data: Dataset, cs: Sequence[int]) -> tuple[np.ndarray | None, int]:
+def _strata_code(
+    data: Dataset, cs: Sequence[int], max_radix: int
+) -> tuple[np.ndarray | None, int]:
     """Each row's Z stratum as a code in ``[0, radix)``, and the radix.
 
-    The code is mixed-radix, built column by column in one int64 array;
-    whenever its radix exceeds the row count it is re-compressed to the
-    occupied strata, so the radix ends at most ``n_rows`` and never
-    overflows.  ``None`` stands for an empty conditioning set.
+    The code is mixed-radix, built column by column in one int64 array with
+    the first column most significant.  It is compressed to the occupied
+    strata, which keeps their order, only where the next column would take
+    the radix past ``_MAX_CELLS`` and once at the end if the radix exceeds
+    ``max_radix``; below 2⁶² nominal strata that is at most once.  ``None``
+    stands for an empty conditioning set.
     """
     code: np.ndarray | None = None
     radix = 1
     for c in cs:
         column = data.columns[c]
+        if radix * column.levels > _MAX_CELLS:
+            strata, _, code = _count_distinct(code, radix, inverse=True)
+            radix = strata.size
         if code is None:
             code = column.codes.copy()
         else:
             code *= column.levels
             code += column.codes
         radix *= column.levels
-        if radix > data.n_rows:
-            strata, _, code = _count_distinct(code, radix, inverse=True)
-            radix = strata.size
+    if radix > max_radix:
+        strata, _, code = _count_distinct(code, radix, inverse=True)
+        radix = strata.size
     return code, radix
 
 
@@ -169,8 +177,12 @@ def stacked_cells(
 
     The Z code is built once (see :func:`_strata_code`), and ``z·|X| + x``
     once per x column, so each pair costs one multiply-add and one count of
-    its distinct cells.  Pairs with equal ``(|X|, |Y|)`` are stacked, each
-    table's cell ids offset past the previous one's.  A stack is yielded,
+    its distinct cells.  Many pairs share a Z compressed to at most
+    ``n_rows`` strata.  A single pair is counted on its full ``(z, x, y)``
+    code, with Z compressed first only if that code would pass
+    ``_MAX_CELLS``; its count already yields the occupied strata.  Pairs
+    with equal ``(|X|, |Y|)`` are stacked, each table's cell ids offset
+    past the previous one's.  A stack is yielded,
     with the positions of its pairs in ``pairs``, before it would hold more
     than ``_STACK_ROWS · n_rows`` cells, so the extra memory is O(n_rows)
     however many pairs share ``cs``.  Indices are assumed valid (see
@@ -178,13 +190,16 @@ def stacked_cells(
     """
     n = data.n_rows
     columns = data.columns
-    code, radix = _strata_code(data, cs)
     if len(pairs) == 1:
-        # One table is indexed in place, in the Z code's own array if any.
+        # One table is counted on its full (z, x, y) code, in the Z code's own
+        # array if any: _stack numbers its strata from the runs of that code.
+        ((x, y),) = pairs
+        code, radix = _strata_code(data, cs, _MAX_CELLS // (columns[x].levels * columns[y].levels))
         order = [0]
         zx_buf = code
         buf = np.empty(n, dtype=np.int64) if code is None else code
     else:
+        code, radix = _strata_code(data, cs, n)
         order = sorted(
             range(len(pairs)),
             key=lambda i: (columns[pairs[i][0]].levels, columns[pairs[i][1]].levels, pairs[i][0]),

@@ -201,3 +201,26 @@ def read_delimited_reference(text, *, delimiter=",", has_header=True):
             )
         )
     return Dataset(n_rows=len(rows), columns=tuple(columns))
+
+
+def closed_form_unfolded(cells):
+    """Each table's G² and χ² from an ``OccupiedCells`` stack, nothing folded.
+
+    The per-cell terms come from the same float operations as the kernel's;
+    every cell's G² and N²/E term then enters one ``math.fsum`` per table.
+    """
+    dx, dy = cells.dims_xy
+    n = cells.count.astype(np.float64)
+    xz = cells.stratum * dx + cells.x
+    yz = cells.stratum * dy + cells.y
+    n_xz = np.bincount(xz, weights=n)
+    n_yz = np.bincount(yz, weights=n)
+    n_z = np.bincount(cells.stratum, weights=n)
+    e = n_xz[xz] * n_yz[yz] / n_z[cells.stratum]
+    g2 = (2.0 * n * np.log(n / e)).tolist()
+    chi2 = (n * n / e).tolist()
+    b = cells.bounds
+    return [
+        (max(0.0, math.fsum(g2[i:j])), max(0.0, math.fsum(chi2[i:j]) - cells.total))
+        for i, j in zip(b, b[1:])
+    ]

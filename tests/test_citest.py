@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catci import tabulate
+from catci import citest, tabulate
 from catci.citest import (
     batch_screen,
     chi2_statistic,
@@ -23,7 +23,7 @@ from catci.loglinear import ipf_fit
 from catci.tabulate import build_table, expected_ci, slice_marginals, table_from_counts
 
 from conftest import make_dataset, permute_column_levels
-from oracles import ci_occupied_bruteforce, log_sf_quadrature
+from oracles import ci_occupied_bruteforce, closed_form_unfolded, log_sf_quadrature
 
 # Frozen by hand: 2*(40*ln(20/25) + 60*ln(30/25)) for the table [[20,30],[30,20]]
 G2_CROSSED = 4.027102710137775
@@ -426,6 +426,136 @@ class TestOccupiedStrataKernel:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+    @pytest.mark.parametrize("dx, dy, k", [(2, 2, 60), (2, 2, 61), (3, 4, 58), (3, 4, 59)])
+    def test_cell_space_at_the_int64_bound(self, dx, dy, k):
+        # 2**k nominal strata: 2**k·|X|·|Y| is 2**62 itself, 0.75·2**62, or
+        # above 2**62, where a single pair must compress Z before counting.
+        rng = np.random.default_rng(k)
+        n = 200
+        z = [rng.integers(0, 2, size=n) for _ in range(3)]
+        z += [(rng.random(n) < 0.003).astype(np.int64) for _ in range(k - 3)]
+        binary = ("0", "1")
+        columns = (
+            CategoricalColumn("X", dx, (z[0] + rng.integers(0, dx, size=n)) % dx),
+            CategoricalColumn("Y", dy, (z[1] + rng.integers(0, dy, size=n)) % dy),
+            CategoricalColumn("W", 3, rng.integers(0, 3, size=n)),
+        ) + tuple(CategoricalColumn(f"Z{j}", 2, c, labels=binary) for j, c in enumerate(z))
+        data = Dataset(n, columns)
+        cs = tuple(range(3, 3 + k))
+        spec = TestSpec(0, 1, cs)
+        with mock.patch.object(
+            tabulate, "_count_distinct", wraps=tabulate._count_distinct
+        ) as counted:
+            single = ci_test(data, spec)
+        compressions = sum(call.kwargs.get("inverse", False) for call in counted.call_args_list)
+        assert compressions == (2**k * dx * dy > tabulate._MAX_CELLS)
+        batch = batch_screen(data, [TestSpec(0, 2, cs), spec, TestSpec(1, 0, cs), TestSpec(2, 1, cs)])
+        assert batch[1] == single
+        assert_matches_oracle(single, ci_occupied_bruteforce(data, spec))
+
+    def test_z_compressed_at_most_once(self, rng):
+        data = make_dataset(rng, 3000, (3, 4) + (4,) * 12)
+        cs = tuple(range(2, 14))
+        single = TestSpec(0, 1, cs)
+        for run in (
+            lambda: ci_test(data, single),
+            lambda: batch_screen(data, [single, TestSpec(1, 0, cs), TestSpec(0, 2, cs[1:])]),
+        ):
+            with mock.patch.object(
+                tabulate, "_count_distinct", wraps=tabulate._count_distinct
+            ) as counted:
+                run()
+            inverse = [call for call in counted.call_args_list if call.kwargs.get("inverse")]
+            assert len(inverse) <= 1
+
+
+@st.composite
+def singleton_strata(draw):
+    """Datasets whose conditioning set has far more strata than rows."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=2, max_size=2))
+    data = make_dataset(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, (*dims, *[25] * k))
+    return data, TestSpec(0, 1, tuple(range(2, k + 2)))
+
+
+@st.composite
+def folding_stacks(draw):
+    """A dataset, a conditioning set and pairs whose tables fold fully or hardly at all.
+
+    Tied columns are functions of the stratum, so every cell of a pair with
+    one folds; free columns are drawn independently of it.
+    """
+    n = draw(st.integers(1, 80))
+    z_levels = draw(st.lists(st.sampled_from([2, 4, 25]), max_size=3))
+    free = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+    tied = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = [rng.integers(0, d, size=n) for d in z_levels + free]
+    stratum = np.zeros(n, dtype=np.int64)
+    for z in codes[: len(z_levels)]:
+        stratum = stratum * 31 + z
+    codes += [(stratum * (j + 1) + j) % d for j, d in enumerate(tied)]
+    levels = z_levels + free + tied
+    columns = tuple(
+        CategoricalColumn(f"V{j}", d, c, labels=tuple(map(str, range(d))))
+        for j, (d, c) in enumerate(zip(levels, codes))
+    )
+    pairs = list(itertools.combinations(range(len(z_levels), len(levels)), 2))
+    return Dataset(n, columns), tuple(range(len(z_levels))), pairs
+
+
+class TestFoldedSums:
+    """_closed_form folds the cells that add exactly 0 to G² and N to Σ N²/E;
+    its sums must equal, bit for bit, those over every cell, on either side
+    of the folding share."""
+
+    @pytest.mark.parametrize("share", [0.0, citest._FOLD_SHARE, 1.0])
+    @given(case=st.one_of(kernel_datasets(), singleton_strata()))
+    def test_single_tables_equal_unfolded_sums(self, share, case):
+        data, spec = case
+        cells = tabulate.occupied_cells(data, spec.x, spec.y, spec.cs)
+        with mock.patch.object(citest, "_FOLD_SHARE", share):
+            assert citest._closed_form(cells) == closed_form_unfolded(cells)
+
+    @pytest.mark.parametrize("share", [0.0, citest._FOLD_SHARE, 1.0])
+    @given(case=folding_stacks())
+    def test_stacks_equal_unfolded_sums(self, share, case):
+        data, cs, pairs = case
+        # A wide row budget stacks every pair of equal dimensions together.
+        with mock.patch.object(citest, "_FOLD_SHARE", share), mock.patch.object(
+            tabulate, "_STACK_ROWS", len(pairs)
+        ):
+            for _, cells in tabulate.stacked_cells(data, cs, pairs):
+                assert citest._closed_form(cells) == closed_form_unfolded(cells)
+
+    def test_stack_mixing_folded_and_unfolded_tables(self, rng):
+        # Every cell of a table with the tied column T or U folds, and they
+        # hold most of the stack's cells; the free pair (about 100 rows per
+        # stratum) has a positive G².
+        n = 400
+        z = rng.integers(0, 4, size=n)
+        columns = (
+            CategoricalColumn("Z", 4, z),
+            CategoricalColumn("T", 3, z % 3),
+            CategoricalColumn("A", 3, rng.integers(0, 3, size=n)),
+            CategoricalColumn("B", 3, rng.integers(0, 3, size=n)),
+            CategoricalColumn("C", 3, rng.integers(0, 3, size=n)),
+            CategoricalColumn("U", 3, (z + 1) % 3),
+        )
+        data = Dataset(n, columns)
+        pairs = [(1, 2), (2, 3), (1, 3), (4, 1), (5, 2), (3, 5)]
+        ((positions, cells),) = tabulate.stacked_cells(data, (0,), pairs)
+        reference = closed_form_unfolded(cells)
+        sizes = np.diff(cells.bounds)
+        tied = [k for k, i in enumerate(positions) if {1, 5} & set(pairs[i])]
+        assert sizes[tied].sum() > citest._FOLD_SHARE * sizes.sum()
+        assert reference[positions.index(1)][0] > 0.0
+        for share in (0.0, citest._FOLD_SHARE, 1.0):
+            with mock.patch.object(citest, "_FOLD_SHARE", share):
+                assert citest._closed_form(cells) == reference
 
 
 class TestBatchScreen:

@@ -46,6 +46,13 @@ class TestCategoricalColumn:
         with pytest.raises(DataError, match="labels"):
             CategoricalColumn("a", 2, np.array([0, 1]), labels=("only",))
 
+    def test_labels_become_a_tuple_of_str(self):
+        col = CategoricalColumn("a", 3, np.array([0, 1, 2]), labels=[1, "b", 2.5])
+        assert col.labels == ("1", "b", "2.5")
+        assert all(type(t) is str for t in col.labels)
+        col = CategoricalColumn("a", 2, np.array([0, 1]), labels=["p", "q"])
+        assert col.labels == ("p", "q")
+
     def test_codes_are_immutable(self):
         col = CategoricalColumn("a", 2, np.array([0, 1]))
         with pytest.raises(ValueError):
