@@ -14,8 +14,11 @@ Each shape is a CSV with a header and 5 columns (long_equal: 2):
     long_equal    20k rows of digits plus two equal 100k-character tokens
 
 Every read runs in a fresh process (so its peak RSS is its own), and the
-source trees alternate, starting with a different one each round.  Run
-from the root of a checkout, e.g. to compare with another checkout:
+source trees alternate, starting with a different one each round.  Each
+process reports the best time of its reads, its peak RSS (VmHWM, which
+includes the interpreter's own 30 MB or so) and, from one more read under
+tracemalloc, the peak that read_delimited itself allocates.  Run from the
+root of a checkout, e.g. to compare with another checkout:
 
     python3 scripts/reader_shapes.py --src ../parent/src src --rounds 5
 
@@ -113,6 +116,7 @@ def _peak_rss_mb() -> float:
 
 def _child(src: str, path: str, reps: int) -> None:
     import time
+    import tracemalloc
 
     sys.path.insert(0, src)
     from catci.io import read_delimited
@@ -122,7 +126,12 @@ def _child(src: str, path: str, reps: int) -> None:
         start = time.perf_counter()
         read_delimited(path)
         best = min(best, time.perf_counter() - start)
-    print(json.dumps({"read_s": best, "peak_rss_mb": _peak_rss_mb()}))
+    peak_rss = _peak_rss_mb()
+    tracemalloc.start()
+    read_delimited(path)
+    traced = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    print(json.dumps({"read_s": best, "peak_rss_mb": peak_rss, "traced_peak_mb": traced}))
 
 
 def main(argv=None) -> int:
@@ -158,7 +167,7 @@ def main(argv=None) -> int:
         for src, results in runs.items():
             row[src] = {
                 key: round(statistics.median(res[key] for res in results), 4)
-                for key in ("read_s", "peak_rss_mb")
+                for key in ("read_s", "peak_rss_mb", "traced_peak_mb")
             }
         print(json.dumps(row, ensure_ascii=False), flush=True)
     return 0

@@ -59,6 +59,16 @@ class BenchConfig:
         for scenario in self.scenarios:
             if len(scenario) < 2 or any(d < 2 for d in scenario):
                 raise ValueError(f"scenario needs >= 2 variables with >= 2 levels: {scenario}")
+            GenConfig(n=1, levels=scenario)  # rejects scenarios too large to generate
+        # run_bench draws each dataset with the next seed after the last one.
+        datasets = len(self.scenarios) * len(self.sample_sizes) * (
+            1 + len(self.test_counts) * self.repetitions
+        )
+        if not 0 <= self.seed <= 2**64 - datasets:
+            raise ValueError(
+                f"seed must lie in [0, 2**64 - {datasets}] so that each of the {datasets} "
+                f"datasets gets a 64-bit unsigned seed, got {self.seed}"
+            )
 
 
 @dataclass(frozen=True)

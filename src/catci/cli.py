@@ -62,8 +62,11 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     )
 
 
+_METHOD_NAMES = {"closed": "closed_form", "closed_form": "closed_form", "ipf": "ipf"}
+
+
 def _method_name(short: str) -> str:
-    return {"closed": "closed_form", "closed_form": "closed_form", "ipf": "ipf"}[short]
+    return _METHOD_NAMES[short]
 
 
 def _result_fields(data: Dataset, spec: TestSpec, res: TestResult) -> dict:
@@ -206,6 +209,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _method_list(text: str) -> tuple[str, ...]:
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not all(name in _METHOD_NAMES for name in names):
+        message = f"expected a comma-separated subset of closed,ipf, got {text!r}"
+        raise argparse.ArgumentTypeError(message)
+    return tuple(map(_method_name, names))
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.test_counts:
@@ -217,12 +228,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.repetitions:
         kwargs["repetitions"] = args.repetitions
     if args.methods:
-        kwargs["methods"] = tuple(_method_name(m.strip()) for m in args.methods.split(","))
+        kwargs["methods"] = args.methods
     kwargs["batch_workers"] = args.batch_workers
     kwargs["seed"] = args.seed
     try:
         config = bench_mod.BenchConfig(**kwargs)
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         print(f"error: bad benchmark configuration: {err}", file=sys.stderr)
         return 2
     report = bench_mod.emit_report(bench_mod.run_bench(config), format=args.format)
@@ -286,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--scenarios", default=(), type=_scenario_list,
                          help="semicolon-separated level tuples, e.g. '3,4,2;3,4,2,4,4'")
     p_bench.add_argument("--repetitions", type=int, default=0, help="0 keeps the default (50)")
-    p_bench.add_argument("--methods", default="", help="subset of closed,ipf")
+    p_bench.add_argument("--methods", default=(), type=_method_list, help="subset of closed,ipf")
     p_bench.add_argument("--batch-workers", type=int, default=0,
                          help="also time batch_screen with this many workers")
     p_bench.add_argument("--seed", type=int, default=0)

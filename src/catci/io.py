@@ -7,15 +7,18 @@ the delimiter), first line an optional header.  Columns are factorized to
 0-based codes in first-appearance order.
 
 The reader works on the text as one numpy array of code points (uint8 for
-ASCII, uint32 otherwise): line breaks and delimiters give one array of
-field boundaries.  Each column is factorised in chunks of rows whose text
-stays in cache, by a mixed-radix code over the tokens' code points built
-one offset at a time; once the tokens still being read are few or long,
-they are sliced and finished as ``str`` dict keys instead.  Reading is
-linear in the file size either way.  The numpy path pays per code point,
-so its gain over splitting lines with ``str.split`` is largest for short
-tokens: one-digit codes read about 3x faster, 10-30 character labels
-1.3-1.5x (scripts/reader_shapes.py).
+ASCII, uint32 otherwise), in chunks of whole lines of about
+``_CHUNK_BYTES`` whose text stays in cache.  In each chunk, delimiters and
+line breaks give the fields, which are checked, and each column's tokens
+are factorised by a mixed-radix code over their code points built one
+offset at a time; once the tokens still being read are few or long, they
+are sliced and finished as ``str`` dict keys instead.  The codes go
+straight into one array per column.  Memory is the text, its code points,
+the codes, the line ends and one chunk: no array spans every field.
+Reading is linear in the file size either way.  The numpy path pays per
+code point, so its gain over splitting lines with ``str.split`` is largest
+for short tokens: one-digit codes read about 3x faster, 10-30 character
+labels 1.3-1.5x (scripts/reader_shapes.py).
 
 The generator is deterministic given (seed, config) via numpy's PCG64
 stream, so datasets are bit-reproducible across platforms.
@@ -53,8 +56,10 @@ _MAX_TABLE_ENTRIES = 1 << 28
 _STEP_TOKENS = 20
 _CODE_POINTS_PER_TOKEN = 40
 
-# Rows whose text spans about this many bytes are factorised together, so the
-# lines read at every code-point offset stay in cache.
+# The reader takes whole lines whose text spans about this many bytes at a
+# time, so the lines read at every code-point offset stay in cache and the
+# scratch stays small.  Line breaks are looked for in blocks of this many
+# code points.
 _CHUNK_BYTES = 1 << 20
 
 # Tokens sliced from the text per block of Python int positions.
@@ -168,17 +173,31 @@ def generate(config: GenConfig) -> Dataset:
     return Dataset(n_rows=n, columns=tuple(columns))
 
 
-def _read_text(source: str | Path | IO[str]) -> str:
+def _read_text(source: str | Path | IO[str]) -> tuple[str, np.ndarray]:
+    """The text, without a leading byte-order mark and with "\\r\\n" as "\\n", and its code points.
+
+    A file's bytes serve as the code points of ASCII text as they are read,
+    without a second copy (see :func:`_code_points`).
+    """
+    raw = None
     if hasattr(source, "read"):
         text = source.read()
     else:
         try:
-            text = Path(source).read_text(encoding="utf-8")
+            raw = Path(source).read_bytes()
+            text = raw.decode("utf-8")
         except OSError as err:
             raise DataError(f"cannot read {source}: {err}") from err
         except UnicodeDecodeError as err:
             raise DataError(f"cannot read {source}: invalid UTF-8 at byte {err.start}") from err
-    return text.removeprefix("\ufeff")
+    text = text.removeprefix("\ufeff")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")  # one line break, as for splitlines
+        raw = None
+    if raw is not None and text.isascii():  # raw is text's bytes, after a 3-byte mark if any
+        return text, np.frombuffer(raw, dtype=np.uint8, offset=len(raw) - len(text))
+    del raw  # before the code points are made
+    return text, _code_points(text)
 
 
 def _first_duplicate(names: list[str]) -> str | None:
@@ -227,38 +246,91 @@ def _line_breaks(chars: np.ndarray, top: int) -> np.ndarray:
     return pos[((cp >= 0x0A) & (cp <= 0x0D)) | (cp >= 0x1C)]
 
 
-def _alphabet(chars: np.ndarray, top: int) -> tuple[np.ndarray, int]:
-    """``chars`` renumbered to the distinct code points in it, and their count.
+def _line_ends(chars: np.ndarray, top: int) -> np.ndarray:
+    """Where each line of the code points ``chars`` ends: at its break, the last at the end.
+
+    ``top`` is the largest code point.  The final line break, and then one
+    trailing empty line, are dropped, so the last line ends at
+    ``ends[-1]``, the size of the text that is read.  Breaks are found a
+    block at a time, so the scratch stays small even where the delimiter is
+    a control character.  Raises DataError for empty input: lines that are
+    all empty.
+    """
+    size = chars.size
+    blocks = [_line_breaks(chars[lo : lo + _CHUNK_BYTES], top) + lo
+              for lo in range(0, size, _CHUNK_BYTES)]
+    ends = np.concatenate([*blocks, [size]])
+    del blocks
+    for _ in range(2):  # the final line break, then one trailing empty line
+        if ends.size > 1 and ends[-2] == size - 1:
+            size -= 1
+            ends = ends[:-1]
+    if ends.size - 1 == size:
+        raise DataError("empty input")
+    ends[-1] = size
+    return ends
+
+
+def _alphabet(chars: np.ndarray, top: int, delimiter: str) -> tuple[np.ndarray, int, int]:
+    """``chars`` renumbered to its distinct code points, their count, and the delimiter's number.
 
     ASCII code points are kept as they are.  Other text is renumbered so
     that the mixed-radix token codes of :func:`_factorise` grow by the size
-    of the alphabet per code point, not by the largest code point.
+    of the alphabet per code point, not by the largest code point.  A
+    delimiter that is not in the text gets a number that no code point has.
     """
+    sep = ord(delimiter)
     if top < 1 << 8:
-        return chars, top + 1
+        return chars, top + 1, sep
     blocks = range(0, chars.size, _CHUNK_BYTES)  # bounds numpy's intp copy of each index
     rank = np.zeros(top + 1, dtype=np.int64)
     for lo in blocks:
         rank[chars[lo : lo + _CHUNK_BYTES]] = 1
+    present = sep <= top and rank[sep]
     np.cumsum(rank, out=rank)
     base = int(rank[-1])
     rank -= 1
     dense = np.empty(chars.size, dtype=np.uint16 if base <= 1 << 16 else np.uint32)
     for lo in blocks:
         dense[lo : lo + _CHUNK_BYTES] = rank[chars[lo : lo + _CHUNK_BYTES]]
-    return dense, base
+    return dense, base, int(rank[sep]) if present else base
 
 
-def _first_line_error(bounds: np.ndarray, last_field: np.ndarray, empty: np.ndarray) -> str | None:
-    """Message for the first ragged row or empty field, or None if there is none.
+def _fields(
+    chars: np.ndarray, ends: np.ndarray, sep: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fields of whole lines of code points.
 
-    Field ``f`` spans ``bounds[f] + 1 : bounds[f + 1]``, line ``l`` ends with
-    field ``last_field[l]``, and ``empty`` holds where each empty field ends.
-    A line is ragged when its field count differs from the first line's; on
-    one line a ragged row is reported before a missing value.
+    Line ``l`` ends at ``ends[l]``, at a line break or, for the last line,
+    at ``chars.size``; ``sep`` is the delimiter.  Returns ``(bounds,
+    last_field, empty)``: field ``f`` is ``chars[bounds[f] + 1 : bounds[f +
+    1]]``, fields run line after line, line ``l`` ends with field
+    ``last_field[l]``, and ``empty`` holds where each empty field ends.
+    """
+    # is_sep[p + 1]: a field ends at p; a virtual one at -1 and at the end.
+    is_sep = np.ones(chars.size + 2, dtype=bool)
+    np.equal(chars, sep, out=is_sep[1:-1])
+    is_sep[ends[:-1] + 1] = True
+    empty = np.flatnonzero(is_sep[:-1] & is_sep[1:])
+    bounds = np.flatnonzero(is_sep)
+    del is_sep
+    bounds -= 1
+    last_field = np.append(np.flatnonzero(chars[bounds[1:-1]] != sep), bounds.size - 2)
+    return bounds, last_field, empty
+
+
+def _first_line_error(
+    bounds: np.ndarray, last_field: np.ndarray, empty: np.ndarray, width: int, line0: int
+) -> str | None:
+    """Message for the first ragged row or empty field of some lines, or None if there is none.
+
+    The lines are those of :func:`_fields` (``bounds``, ``last_field`` and
+    ``empty``), and the first of them is line ``line0 + 1`` of the file.  A
+    line is ragged when it does not have ``width`` fields; on one line a
+    ragged row is reported before a missing value.
     """
     n_fields = np.diff(last_field, prepend=-1)
-    ragged = np.flatnonzero(n_fields != n_fields[0])
+    ragged = np.flatnonzero(n_fields != width)
     if empty.size:
         field = int(np.searchsorted(bounds, empty[0])) - 1
         empty_line = int(np.searchsorted(last_field, field))
@@ -266,45 +338,11 @@ def _first_line_error(bounds: np.ndarray, last_field: np.ndarray, empty: np.ndar
         empty_line = last_field.size
     if ragged.size and ragged[0] <= empty_line:
         line = int(ragged[0])
-        return f"line {line + 1}: expected {int(n_fields[0])} fields, found {int(n_fields[line])}"
+        return f"line {line0 + line + 1}: expected {width} fields, found {int(n_fields[line])}"
     if empty.size:
         first_field = int(last_field[empty_line - 1]) + 1 if empty_line else 0
-        return f"line {empty_line + 1}: missing value in field {field - first_field + 1}"
+        return f"line {line0 + empty_line + 1}: missing value in field {field - first_field + 1}"
     return None
-
-
-def _field_bounds(chars: np.ndarray, top: int, delimiter: str) -> tuple[np.ndarray, int]:
-    """Where the fields of the code points ``chars`` end, after checking every line.
-
-    ``top`` is the largest code point.  Returns ``(bounds, width)``: field
-    ``f`` is ``chars[bounds[f] + 1 : bounds[f + 1]]``, fields run line after
-    line, and every line has ``width`` non-empty fields.  Raises DataError
-    for empty input and for the first ragged row or empty field.
-    """
-    breaks = _line_breaks(chars, top)
-    size = chars.size
-    for _ in range(2):  # the final line break, then one trailing empty line
-        if breaks.size and breaks[-1] == size - 1:
-            size -= 1
-            breaks = breaks[:-1]
-    if breaks.size == size:
-        raise DataError("empty input")
-    chars = chars[:size]
-
-    # is_sep[p + 1]: a field ends at p; a virtual one at -1 and at size.
-    is_sep = np.ones(size + 2, dtype=bool)
-    np.equal(chars, ord(delimiter), out=is_sep[1:-1])
-    is_sep[breaks + 1] = True
-    del breaks
-    empty = np.flatnonzero(is_sep[:-1] & is_sep[1:])  # where each empty field ends
-    bounds = np.flatnonzero(is_sep)
-    del is_sep
-    bounds -= 1
-    last_field = np.append(np.flatnonzero(chars[bounds[1:-1]] != ord(delimiter)), bounds.size - 2)
-    error = _first_line_error(bounds, last_field, empty)
-    if error is not None:
-        raise DataError(error)
-    return bounds, int(last_field[0]) + 1
 
 
 def _slices(text: str, starts: np.ndarray, stops: np.ndarray) -> list[str]:
@@ -406,44 +444,59 @@ def _factorise(
     first = np.full(n_ids, n, dtype=np.int64)
     np.minimum.at(first, ids, np.arange(n))
     ranked = np.argsort(first)  # unused ids, first at n, come last
-    rank = np.empty(n_ids, dtype=np.int64)
+    firsts = first[ranked[: np.count_nonzero(first < n)]]
+    rank = first  # reused: each id's rank
     rank[ranked] = np.arange(n_ids)
-    return rank[ids], first[ranked[: np.count_nonzero(first < n)]]
+    del ranked
+    return rank[ids], firsts
 
 
-def _factorise_chunks(
-    text: str, chars: np.ndarray, base: int, starts: np.ndarray, stops: np.ndarray, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_factorise` over chunks of ``rows`` tokens, then over the chunks' first tokens.
+class _Column:
+    """One column's codes, written chunk by chunk into one array, and its labels.
 
-    A chunk's tokens lie in a short stretch of ``text`` that stays in cache
-    while its code points are read offset by offset.  Each chunk's first
-    tokens, in order, are the tokens' first appearances in the whole
-    column, so factorising them joins the chunks.  A chunk with as many
-    distinct tokens as half its size does not shrink the work, and the
-    column is then factorised whole.
+    Each chunk's tokens are factorised on their own.  A chunk's first
+    tokens, in order, are the tokens' first appearances in the chunk, so
+    looking them up as ``str`` in the labels seen so far turns the chunk's
+    codes into the column's.  A first chunk with as many distinct tokens as
+    half its rows does not shrink that work: the column then keeps every
+    token's span and is factorised whole at the end.
     """
-    n = starts.size
-    if n <= rows:
-        return _factorise(text, chars, base, starts, stops)
-    codes = np.empty(n, dtype=np.int64)
-    firsts = []
-    n_firsts = 0
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        chunk, first = _factorise(text, chars, base, starts[lo:hi], stops[lo:hi])
-        if not lo and 2 * first.size > hi:
-            return _factorise(text, chars, base, starts, stops)
-        chunk += n_firsts
-        codes[lo:hi] = chunk
-        first += lo
-        firsts.append(first)
-        n_firsts += first.size
-    first = np.concatenate(firsts)
-    joined, first_of_joined = _factorise_chunks(
-        text, chars, base, starts[first], stops[first], rows
-    )
-    return joined[codes], first[first_of_joined]
+
+    def __init__(self, n_rows: int) -> None:
+        self.codes = np.empty(n_rows, dtype=np.int64)
+        self.index: dict[str, int] = {}  # label -> code, in first-appearance order
+        self.spans: np.ndarray | None = None  # starts and stops, when read whole
+
+    def add(self, text: str, chars: np.ndarray, base: int, row: int,
+            starts: np.ndarray, stops: np.ndarray, last: bool) -> None:
+        """Read the tokens ``text[starts[k]:stops[k]]`` of rows ``row, row + 1, ...``."""
+        hi = row + starts.size
+        if self.spans is None:
+            ids, first = _factorise(text, chars, base, starts, stops)
+            if row or last or 2 * first.size <= starts.size:
+                new = _slices(text, starts[first], stops[first])
+                lookup = np.array([self.index.setdefault(t, len(self.index)) for t in new])
+                self.codes[row:hi] = lookup[ids]
+                return
+            self.spans = np.empty((2, self.codes.size), dtype=np.int64)
+            self.codes = None
+        self.spans[0, row:hi] = starts
+        self.spans[1, row:hi] = stops
+
+    def finish(self, text: str, chars: np.ndarray, base: int) -> None:
+        """Factorise a column that is read whole; from then on, the code points are not needed."""
+        if self.spans is not None:
+            self.codes, first = _factorise(text, chars, base, self.spans[0], self.spans[1])
+            self.spans = self.spans[:, first]  # each label's span
+
+    def column(self, text: str, name: str) -> CategoricalColumn:
+        """The finished column; this object lets go of its codes."""
+        if self.spans is None:
+            labels = tuple(self.index)
+        else:
+            labels = tuple(_slices(text, self.spans[0], self.spans[1]))
+        codes, self.codes = self.codes, None
+        return CategoricalColumn(name=name, levels=len(labels), codes=codes, labels=labels)
 
 
 def read_delimited(
@@ -460,44 +513,61 @@ def read_delimited(
     unreadable or empty input, ragged rows, empty fields (naming the first
     offending physical line) or a duplicate header name.
 
-    The text is read as one array of code points; lines, fields and
-    columns of short tokens are numpy passes over it, and long tokens are
-    sliced as ``str`` where that is cheaper, so time and memory are linear
-    in its length (see the module docstring).
+    The text is read as one array of code points, in chunks of whole lines
+    of about ``_CHUNK_BYTES``: each chunk's fields are found, checked and
+    factorised column by column into one code array per column.  Long
+    tokens are sliced as ``str`` where that is cheaper, so time and memory
+    are linear in its length (see the module docstring).
     """
     check_delimiter(delimiter)
-    text = _read_text(source)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")  # one line break, as for splitlines
-    chars = _code_points(text)
+    text, chars = _read_text(source)
     top = int(chars.max()) if chars.size else 0
-    bounds, width = _field_bounds(chars, top, delimiter)
-    chars, base = _alphabet(chars, top)
+    ends = _line_ends(chars, top)
+    chars, base, sep = _alphabet(chars, top, delimiter)
 
-    def field_text(fields: np.ndarray) -> list[str]:
-        return _slices(text, bounds[fields] + 1, bounds[fields + 1])
-
-    n_lines = (bounds.size - 1) // width
-    if has_header:
-        names = field_text(np.arange(width))
+    n_lines = ends.size
+    n_rows = n_lines - 1 if has_header else n_lines
+    span = max(1, _CHUNK_BYTES // chars.itemsize)
+    cuts = np.searchsorted(ends, np.arange(span, int(ends[-1]), span)) + 1
+    names: list[str] | None = None
+    columns: list[_Column] = []
+    lo = row = 0
+    for hi in sorted({*cuts.tolist(), n_lines}):
+        pos = int(ends[lo - 1]) + 1 if lo else 0
+        bounds, last_field, empty = _fields(chars[pos : int(ends[hi - 1])], ends[lo:hi] - pos, sep)
+        if not lo:
+            width = int(last_field[0]) + 1
+            columns = [_Column(n_rows) for _ in range(width)]
+        error = _first_line_error(bounds, last_field, empty, width, lo)
+        if error is not None:
+            raise DataError(error)
+        bounds += pos
+        first = 0
+        if not lo and has_header:
+            names = _slices(text, bounds[:width] + 1, bounds[1 : width + 1])
+            first = width
+        n = (bounds.size - 1 - first) // width
+        if n:
+            for field, column in enumerate(columns, start=first):
+                column.add(text, chars, base, row, bounds[field:-1:width] + 1,
+                           bounds[field + 1 :: width], hi == n_lines)
+        del bounds, last_field, empty
+        lo, row = hi, row + n
+    del ends, cuts
+    if names is None:
+        names = [f"V{j + 1}" for j in range(width)]
+    else:
         dup = _first_duplicate(names)
         if dup is not None:
             raise DataError(f"duplicate column name {dup!r} in header")
-        first, n_rows = width, n_lines - 1
-    else:
-        names = [f"V{j + 1}" for j in range(width)]
-        first, n_rows = 0, n_lines
     if not n_rows:
         raise DataError("empty input: no data rows")
-    rows = max(1, _CHUNK_BYTES * n_lines // (chars.size * chars.itemsize))
-    columns = []
-    for field, name in enumerate(names, start=first):
-        codes, first_token = _factorise_chunks(
-            text, chars, base, bounds[field:-1:width] + 1, bounds[field + 1 :: width], rows
-        )
-        labels = tuple(field_text(first_token * width + field))
-        columns.append(CategoricalColumn(name=name, levels=len(labels), codes=codes, labels=labels))
-    return Dataset(n_rows=n_rows, columns=tuple(columns))
+    for column in columns:
+        column.finish(text, chars, base)
+    del chars
+    return Dataset(
+        n_rows=n_rows, columns=tuple(c.column(text, name) for c, name in zip(columns, names))
+    )
 
 
 def write_delimited(

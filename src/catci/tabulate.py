@@ -97,20 +97,33 @@ def _count_distinct(
     """Sorted distinct values of ``ids`` (all in ``[0, space)``) and their counts.
 
     With ``inverse`` also returns each id's position among the distinct values.
+    Scratch beyond the result is one array over ``space`` (bincount), or
+    two arrays and a mask over ``ids`` (sort).
     """
     if space <= _BINCOUNT_SPAN * ids.size:
         counts = np.bincount(ids, minlength=space)
         (values,) = counts.nonzero()
+        found = counts[values]
         if not inverse:
-            return values, counts[values], None
-        lut = np.empty(space, dtype=np.int64)
-        lut[values] = np.arange(values.size)
-        return values, counts[values], lut[ids]
-    if inverse:
-        values, positions, counts = np.unique(ids, return_inverse=True, return_counts=True)
-        return values, counts, positions
-    values, counts = np.unique(ids, return_counts=True)
-    return values, counts, None
+            return values, found, None
+        counts[values] = np.arange(values.size)  # now each value's position
+        return values, found, counts[ids]
+    if not inverse:
+        values, counts = np.unique(ids, return_counts=True)
+        return values, counts, None
+    order = np.argsort(ids)
+    ranks = ids[order]
+    head = np.ones(ids.size, dtype=bool)  # where a run of equal sorted ids starts
+    np.not_equal(ranks[1:], ranks[:-1], out=head[1:])
+    values = ranks[head]
+    ranks[...] = head
+    del head
+    np.cumsum(ranks, out=ranks)  # in place: a cumsum of the bool mask would copy it to int64
+    ranks -= 1
+    positions = np.empty_like(ranks)
+    positions[order] = ranks
+    del order, ranks
+    return values, np.bincount(positions, minlength=values.size), positions
 
 
 def _strata_code(

@@ -28,6 +28,10 @@ class TestBenchConfig:
             BenchConfig(methods=("nonsense",))
         with pytest.raises(ValueError):
             BenchConfig(scenarios=((3,),))
+        with pytest.raises(ValueError, match="Z strata"):
+            BenchConfig(scenarios=((3, 4) + (4,) * 13,))
+        with pytest.raises(ValueError, match="seed"):
+            BenchConfig(seed=-1)
 
 
 class TestScenarioId:

@@ -327,6 +327,38 @@ class TestCmdBench:
             f"catci bench: error: argument {flag}: expected comma-separated integers, got {bad!r}"
         ]
 
+    _SMALL_GRID = ["bench", "--test-counts", "1", "--sample-sizes", "10", "--scenarios", "3,4",
+                   "--repetitions", "1"]
+
+    @pytest.mark.parametrize("methods", ["foo", "closed,foo"])
+    def test_unknown_method_is_usage_error(self, capsys, methods):
+        with pytest.raises(SystemExit) as err:
+            main(self._SMALL_GRID + ["--methods", methods])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [ln for ln in lines if "error:" in ln] == [
+            "catci bench: error: argument --methods: "
+            f"expected a comma-separated subset of closed,ipf, got {methods!r}"
+        ]
+
+    @pytest.mark.parametrize("seed", ["-3", str(2**64 - 1)])
+    def test_seed_out_of_range_exits_2(self, capsys, seed):
+        # The grid draws two datasets, with seeds `seed` and `seed + 1`.
+        code, out, err = run_cli(capsys, self._SMALL_GRID + ["--methods", "closed", "--seed", seed])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: bad benchmark configuration: seed must lie in [0, 2**64 - 2] so that "
+            f"each of the 2 datasets gets a 64-bit unsigned seed, got {seed}"
+        ]
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, self._SMALL_GRID + ["--methods", "closed", "--seed", str(2**64 - 2)]
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 2
+
     def test_smoke_run(self, capsys):
         code, out, _ = run_cli(
             capsys,

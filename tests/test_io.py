@@ -360,6 +360,120 @@ class TestReaderCost:
         assert peak < 32 * 1_000_000
 
 
+def _read_in_chunks(text, chunk_bytes, **kw):
+    with mock.patch.object(catci_io, "_CHUNK_BYTES", chunk_bytes):
+        return _outcome(lambda: _read(text, **kw))
+
+
+# Chunk boundaries that matter: at the first ragged row or empty field (and
+# both on one line), at the header, a byte-order mark, the trailing empty
+# line and "\r\n" breaks; labels that first appear in a later chunk; a
+# column distinct in its first chunk only.
+_CHUNK_EDGES = [
+    ("a,b\nx,1\ny,2\nz\nw,3,4\n", True),
+    ("a,b\nx,1\ny,2\nz,\n,3\n", True),
+    ("a,b\nx,1\n,y,2\ny,\n", True),
+    ("a,b\nx,1\n,2\nx\n", True),
+    ("a,,b\n1,2,3\n", True),
+    ("a\n1,2\n", True),
+    ("a,a\n1,2\n3\n", True),
+    ("a,a\n1,2\n3,4\n", True),
+    ("a,b\n", True),
+    ("a,b", True),
+    ("\ufeffa,b\n\ufeffx,1\ny,\ufeff\n", True),
+    ("\ufeffx,1\ny,2\n", False),
+    ("a,b\nx,1\ny,2\n\n", True),
+    ("a,b\nx,1\n\n\n", True),
+    ("a,b\nx,1\ny,2", True),
+    ("a,b\n\nx,1\n", True),
+    ("\n\n\n", True),
+    ("a,b\r\nx,1\r\ny,2\r\n\r\n", True),
+    ("a,b\r\nx,1\ry,2\n\r\n", True),
+    ("a,b\r\r\nx,1\r\n", True),
+    ("id,g\np,x\nq,x\nr,y\np,y\nq,z\ns,x\nr,z\n", True),
+    ("p,x\nq,x\np,y\nr,x\nq,y\n", False),
+    ("é,b\n日,1\n\U0001f600,2\u2028日,é\n\U0001f600,1\n", True),
+]
+
+
+class TestReaderChunks:
+    """The reader over chunks of a few bytes of whole lines, against the reference."""
+
+    @pytest.mark.parametrize("text, has_header", _CHUNK_EDGES)
+    def test_every_line_end_as_chunk_end(self, text, has_header):
+        # A line ending at code point p closes the first chunk when a chunk
+        # spans p code points; code points take up to 2 bytes here.
+        expected = _outcome(lambda: read_delimited_reference(text, has_header=has_header))
+        for chunk_bytes in range(1, 2 * len(text) + 2):
+            assert _read_in_chunks(text, chunk_bytes, has_header=has_header) == expected
+
+    @given(case=_delimited_inputs(), chunk_bytes=st.integers(1, 48))
+    @settings(max_examples=300)
+    def test_same_dataset_or_same_error(self, case, chunk_bytes):
+        text, delimiter, has_header = case
+        kw = dict(delimiter=delimiter, has_header=has_header)
+        expected = _outcome(lambda: read_delimited_reference(text, **kw))
+        assert _read_in_chunks(text, chunk_bytes, **kw) == expected
+
+    @given(text=_token_tables(), chunk_bytes=st.integers(1, 256),
+           path=st.sampled_from(["numpy", "switch", "str"]))
+    @settings(max_examples=100)
+    def test_tokens(self, text, chunk_bytes, path):
+        with mock.patch.multiple(catci_io, **{**_READ_PATHS[path], "_CHUNK_BYTES": chunk_bytes}):
+            assert _read(text) == read_delimited_reference(text)
+
+    @given(text=_token_tables(alphabet="a\0日\U0001f600", max_rows=40),
+           chunk_bytes=st.integers(1, 64))
+    @settings(max_examples=50)
+    def test_non_bmp_tokens(self, text, chunk_bytes):
+        assert _read_in_chunks(text, chunk_bytes) == read_delimited_reference(text)
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            (None, None),
+            ("日本;\U0001f600", "line 199992: expected 3 fields, found 2"),
+            ("é;;\U0001f600", "line 199992: missing value in field 2"),
+        ],
+    )
+    def test_large_file_with_late_non_ascii(self, bad_row, message):
+        # As in TestReaderAgainstReference, over 4 KiB chunks: line numbers
+        # count on across about 300 chunks.
+        rows = [f"r{i % 7};s{i % 5};t{i % 3}" for i in range(199_980)]
+        rows += ["é;日本;\U0001f600", "\U0001f600;é;日本"] * 10
+        if bad_row is not None:
+            rows[199_990] = bad_row
+        text = "x;y;z\n" + "\n".join(rows) + "\n"
+        got = _read_in_chunks(text, 1 << 12, delimiter=";")
+        assert got == _outcome(lambda: read_delimited_reference(text, delimiter=";"))
+        if message is not None:
+            assert got == f"DataError: {message}"
+
+    def test_memory_is_the_text_the_codes_and_one_chunk(self, tmp_path):
+        # 1M rows of 5 one-character fields: 10 MB of text, held as str and
+        # as code points, and 40 MB of codes.  What the reader holds beyond
+        # them is its line ends (8 bytes a line), one chunk's scratch and one
+        # column's codes while the Dataset copies them: under 24 bytes a row.
+        # A whole-file array of field ends alone would be 40 MB.
+        rng = np.random.default_rng(0)
+        line = np.empty((1_000_000, 10), dtype=np.uint8)
+        line[:, 0::2] = rng.integers(0, 4, (1_000_000, 5), dtype=np.uint8) + ord("0")
+        line[:, 1::2] = ord(",")
+        line[:, -1] = ord("\n")
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"a,b,c,d,e\n" + line.tobytes())
+        del line
+        tracemalloc.start()
+        try:
+            ds = read_delimited(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        codes = sum(c.codes.nbytes for c in ds.columns)
+        assert ds.n_rows == 1_000_000 and codes == 40_000_000
+        assert peak - codes - 2 * path.stat().st_size < 24 * 1_000_000
+
+
 @st.composite
 def _datasets_as_read(draw):
     """A Dataset in the form read_delimited returns, and a delimiter.
