@@ -17,7 +17,9 @@ Every read runs in a fresh process (so its peak RSS is its own), and the
 source trees alternate, starting with a different one each round.  Each
 process reports the best time of its reads, its peak RSS (VmHWM, which
 includes the interpreter's own 30 MB or so) and, from one more read under
-tracemalloc, the peak that read_delimited itself allocates.  Run from the
+tracemalloc, the peak that read_delimited itself allocates
+(traced_peak_mb) and how much of it lies beyond the result's codes and
+labels (beyond_result_mb): the reader's own scratch.  Run from the
 root of a checkout, e.g. to compare with another checkout:
 
     python3 scripts/reader_shapes.py --src ../parent/src src --rounds 5
@@ -128,10 +130,15 @@ def _child(src: str, path: str, reps: int) -> None:
         best = min(best, time.perf_counter() - start)
     peak_rss = _peak_rss_mb()
     tracemalloc.start()
-    read_delimited(path)
+    data = read_delimited(path)
     traced = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
-    print(json.dumps({"read_s": best, "peak_rss_mb": peak_rss, "traced_peak_mb": traced}))
+    result = sum(
+        col.codes.nbytes + sys.getsizeof(col.labels) + sum(map(sys.getsizeof, col.labels))
+        for col in data.columns
+    ) / 2**20
+    print(json.dumps({"read_s": best, "peak_rss_mb": peak_rss, "traced_peak_mb": traced,
+                      "beyond_result_mb": traced - result}))
 
 
 def main(argv=None) -> int:
@@ -167,7 +174,7 @@ def main(argv=None) -> int:
         for src, results in runs.items():
             row[src] = {
                 key: round(statistics.median(res[key] for res in results), 4)
-                for key in ("read_s", "peak_rss_mb", "traced_peak_mb")
+                for key in ("read_s", "peak_rss_mb", "traced_peak_mb", "beyond_result_mb")
             }
         print(json.dumps(row, ensure_ascii=False), flush=True)
     return 0

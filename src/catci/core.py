@@ -83,6 +83,20 @@ class CategoricalColumn:
                 )
 
     @classmethod
+    def _owning(cls, name: str, codes: np.ndarray, labels: tuple[str, ...]) -> "CategoricalColumn":
+        """A column that takes over ``codes`` instead of copying and checking them.
+
+        For readers that build codes and labels together: ``codes`` must be
+        a one-dimensional int64 array that no one else holds, with every
+        value in ``[0, len(labels))``, and ``labels`` a tuple of ``str``.
+        """
+        column = cls.__new__(cls)
+        for field, value in (("name", name), ("levels", len(labels)),
+                             ("codes", _freeze(codes)), ("labels", labels)):
+            object.__setattr__(column, field, value)
+        return column
+
+    @classmethod
     def from_tokens(cls, name: str, tokens: Sequence[str]) -> "CategoricalColumn":
         """Factorize raw tokens to codes in first-appearance order."""
         labels = tuple(dict.fromkeys(tokens))

@@ -6,19 +6,22 @@ not a line break (comma by default, no quoting — tokens must not contain
 the delimiter), first line an optional header.  Columns are factorized to
 0-based codes in first-appearance order.
 
-The reader works on the text as one numpy array of code points (uint8 for
-ASCII, uint32 otherwise), in chunks of whole lines of about
-``_CHUNK_BYTES`` whose text stays in cache.  In each chunk, delimiters and
-line breaks give the fields, which are checked, and each column's tokens
-are factorised by a mixed-radix code over their code points built one
-offset at a time; once the tokens still being read are few or long, they
-are sliced and finished as ``str`` dict keys instead.  The codes go
-straight into one array per column.  Memory is the text, its code points,
-the codes, the line ends and one chunk: no array spans every field.
-Reading is linear in the file size either way.  The numpy path pays per
-code point, so its gain over splitting lines with ``str.split`` is largest
-for short tokens: one-digit codes read about 3x faster, 10-30 character
-labels 1.3-1.5x (scripts/reader_shapes.py).
+The reader streams its input.  It reads a file's bytes about
+``_CHUNK_BYTES`` at a time and decodes them as UTF-8 (a text stream's
+characters likewise), and carries each chunk's last, partial line into the
+next.  A chunk's whole lines become one numpy array of code points (uint8
+for ASCII, uint32 otherwise), whose delimiters and line breaks give the
+fields, which are checked.  Each column's tokens are factorised by a
+mixed-radix code over their code points built one offset at a time; once
+the tokens still being read are few or long, they are sliced and finished
+as ``str`` dict keys instead.  The chunk's codes become the column's by a
+``str`` lookup of its first tokens, and go straight into one int64 array
+per column, sized before the loop by a pass that counts line breaks.
+Memory is the codes, the labels and one chunk's text and scratch (or one
+line's, where a line is longer): the text is never held whole, and no
+array spans every line or field.  Reading is linear in the file size.  The
+numpy path pays per code point, so its gain over splitting lines with
+``str.split`` is largest for short tokens (scripts/reader_shapes.py).
 
 The generator is deterministic given (seed, config) via numpy's PCG64
 stream, so datasets are bit-reproducible across platforms.
@@ -26,10 +29,15 @@ stream, so datasets are bit-reproducible across platforms.
 
 from __future__ import annotations
 
+import codecs
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from pathlib import Path
-from typing import IO
+from typing import IO, BinaryIO, Callable, Iterable
 
 import numpy as np
 
@@ -56,14 +64,16 @@ _MAX_TABLE_ENTRIES = 1 << 28
 _STEP_TOKENS = 20
 _CODE_POINTS_PER_TOKEN = 40
 
-# The reader takes whole lines whose text spans about this many bytes at a
-# time, so the lines read at every code-point offset stay in cache and the
-# scratch stays small.  Line breaks are looked for in blocks of this many
-# code points.
+# The reader reads about this many bytes (or a text stream's characters) at
+# a time and takes the whole lines among them, so the lines read at every
+# code-point offset stay in cache and the scratch stays small.
 _CHUNK_BYTES = 1 << 20
 
 # Tokens sliced from the text per block of Python int positions.
 _SLICE_BLOCK = 1 << 16
+
+# The line separators of str.splitlines.
+_LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass(frozen=True)
@@ -173,33 +183,6 @@ def generate(config: GenConfig) -> Dataset:
     return Dataset(n_rows=n, columns=tuple(columns))
 
 
-def _read_text(source: str | Path | IO[str]) -> tuple[str, np.ndarray]:
-    """The text, without a leading byte-order mark and with "\\r\\n" as "\\n", and its code points.
-
-    A file's bytes serve as the code points of ASCII text as they are read,
-    without a second copy (see :func:`_code_points`).
-    """
-    raw = None
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            raw = Path(source).read_bytes()
-            text = raw.decode("utf-8")
-        except OSError as err:
-            raise DataError(f"cannot read {source}: {err}") from err
-        except UnicodeDecodeError as err:
-            raise DataError(f"cannot read {source}: invalid UTF-8 at byte {err.start}") from err
-    text = text.removeprefix("\ufeff")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")  # one line break, as for splitlines
-        raw = None
-    if raw is not None and text.isascii():  # raw is text's bytes, after a 3-byte mark if any
-        return text, np.frombuffer(raw, dtype=np.uint8, offset=len(raw) - len(text))
-    del raw  # before the code points are made
-    return text, _code_points(text)
-
-
 def _first_duplicate(names: list[str]) -> str | None:
     """The first name that repeats an earlier one, or None."""
     seen: set[str] = set()
@@ -246,29 +229,22 @@ def _line_breaks(chars: np.ndarray, top: int) -> np.ndarray:
     return pos[((cp >= 0x0A) & (cp <= 0x0D)) | (cp >= 0x1C)]
 
 
-def _line_ends(chars: np.ndarray, top: int) -> np.ndarray:
-    """Where each line of the code points ``chars`` ends: at its break, the last at the end.
+def _line_ends(breaks: np.ndarray, size: int, final: bool) -> np.ndarray:
+    """Where the whole lines of a text of ``size`` code points end, given its line breaks.
 
-    ``top`` is the largest code point.  The final line break, and then one
-    trailing empty line, are dropped, so the last line ends at
-    ``ends[-1]``, the size of the text that is read.  Breaks are found a
-    block at a time, so the scratch stays small even where the delimiter is
-    a control character.  Raises DataError for empty input: lines that are
-    all empty.
+    Each line ends at its break, the last at ``ends[-1]``.  The text starts
+    a line.  Unless it is the ``final`` text of the input, its whole lines
+    are those that end before its last code point: a line that ends the
+    text may be the input's trailing empty line.  In the final text, the
+    final line break, and then one trailing empty line, are dropped.
     """
-    size = chars.size
-    blocks = [_line_breaks(chars[lo : lo + _CHUNK_BYTES], top) + lo
-              for lo in range(0, size, _CHUNK_BYTES)]
-    ends = np.concatenate([*blocks, [size]])
-    del blocks
-    for _ in range(2):  # the final line break, then one trailing empty line
-        if ends.size > 1 and ends[-2] == size - 1:
-            size -= 1
-            ends = ends[:-1]
-    if ends.size - 1 == size:
-        raise DataError("empty input")
-    ends[-1] = size
-    return ends
+    if not final:
+        return breaks[: np.searchsorted(breaks, size - 1)]
+    if breaks.size and breaks[-1] == size - 1:
+        breaks, size = breaks[:-1], size - 1
+    if size == (int(breaks[-1]) + 1 if breaks.size else 0):
+        return breaks
+    return np.append(breaks, size)
 
 
 def _alphabet(chars: np.ndarray, top: int, delimiter: str) -> tuple[np.ndarray, int, int]:
@@ -451,52 +427,265 @@ def _factorise(
     return rank[ids], firsts
 
 
+class _Text:
+    """The text of a file or a text stream, read a piece at a time.
+
+    A file's bytes are decoded as UTF-8 as they are read; invalid UTF-8
+    raises DataError at its byte offset in the file.  Pieces come without
+    a leading byte-order mark and with each "\\r\\n" as one line break, also
+    where a piece ends between the two.
+    """
+
+    def __init__(self, read: Callable[[int], str | bytes], name: str | None = None) -> None:
+        self._read = read  # read(size) of the source, empty at its end
+        self._name = name  # the file's name, or None for a text stream
+        self._bytes = b""  # the file's bytes read but not yet decoded
+        self._offset = 0  # their offset in the file
+        self._first = True  # no text has come yet
+        self._cr = False  # the text so far ends with "\r"
+        self.done = False
+
+    def read(self, size: int) -> str:
+        """The next piece of text, from about ``size`` more bytes or characters."""
+        piece = self._read(size)
+        self.done = not piece
+        if self._name is not None:
+            piece = self._decode(piece)
+        if piece:
+            if self._first:
+                piece = piece.removeprefix("\ufeff")
+            if self._cr and piece.startswith("\n"):  # the rest of "\r\n"
+                piece = piece[1:]
+            self._first, self._cr = False, piece.endswith("\r")
+            if "\r" in piece:
+                piece = piece.replace("\r\n", "\n")
+        return piece
+
+    def _decode(self, chunk: bytes) -> str:
+        data = self._bytes + chunk
+        try:
+            text, used = codecs.utf_8_decode(data, "strict", not chunk)
+        except UnicodeDecodeError as err:
+            raise DataError(
+                f"cannot read {self._name}: invalid UTF-8 at byte {self._offset + err.start}"
+            ) from err
+        self._bytes = data[used:]  # a code point that the chunk cut
+        self._offset += used
+        return text
+
+
+def _line_bound(file: BinaryIO, sep: int) -> int:
+    """An upper bound on the lines of a UTF-8 file, from one pass over its bytes.
+
+    Every line break is one of the bytes 0x0A..0x0D and 0x1C..0x1E, or a
+    code point led by 0xC2 (U+0085) or 0xE2 (U+2028, U+2029).  Bytes up to
+    0x1E other than the delimiter ``sep`` count as breaks, "\\r\\n" within
+    a chunk as one.  The file is left at its start.
+    """
+    buf = bytearray(_CHUNK_BYTES)
+    lines = 1
+    while size := file.readinto(buf):
+        chunk = np.frombuffer(buf, np.uint8, size)
+        lines += np.count_nonzero(chunk <= 0x1E)
+        if sep <= 0x1E:
+            lines -= np.count_nonzero(chunk == sep)
+        if chunk.max() >= 0x80:
+            lines += np.count_nonzero(chunk == 0xC2) + np.count_nonzero(chunk == 0xE2)
+        if buf.find(b"\r", 0, size) >= 0:
+            lines -= buf.count(b"\r\n", 0, size)
+    file.seek(0)
+    return int(lines)
+
+
+def _stream(source: IO[str]) -> tuple[Callable[[int], str], int]:
+    """A read function for a text stream and an upper bound on its lines.
+
+    The stream is read once to count its line breaks, and then read again
+    from where it stood; one that cannot seek back is held as the pieces
+    read the first time.
+    """
+    pieces: Iterable[str] = iter(partial(source.read, _CHUNK_BYTES), "")
+    if source.seekable():
+        start = source.tell()
+        lines = 1 + sum(map(_count_breaks, pieces))
+        source.seek(start)
+        return source.read, lines
+    held = deque(pieces)
+    return (lambda size: held.popleft() if held else ""), 1 + sum(map(_count_breaks, held))
+
+
+def _count_breaks(text: str) -> int:
+    chars = _code_points(text)
+    return _line_breaks(chars, int(chars.max())).size
+
+
+def _merge(labels: list[str]) -> tuple[np.ndarray, list[str]] | None:
+    """Each label's code among the distinct ``labels``, in order of first appearance, and those.
+
+    Labels are sorted by hash and compared as ``str`` only where hashes
+    tie.  Returns None when the labels are distinct.
+    """
+    n = len(labels)
+    hashes = np.fromiter(map(hash, labels), np.int64, n)
+    order = np.argsort(hashes)
+    hashes = hashes[order]
+    tie = hashes[1:] == hashes[:-1]
+    del hashes
+    if not tie.any():
+        return None
+    member = np.flatnonzero(np.append(tie, False) | np.insert(tie, 0, False))  # in runs of ties
+    starts = np.flatnonzero(~np.insert(tie, 0, False)[member])  # where each run starts
+    del tie
+    idx = order[member]
+    del order, member
+    sizes = np.diff(starts, append=idx.size)
+    heads = np.repeat(idx[starts], sizes)
+    equal = np.fromiter(map(operator.eq, map(labels.__getitem__, idx.tolist()),
+                            map(labels.__getitem__, heads.tolist())), bool, idx.size)
+    first = np.arange(n)  # each label's first equal label
+    if equal.all():
+        first[idx] = np.repeat(np.minimum.reduceat(idx, starts), sizes)
+    else:  # unequal labels with equal hashes
+        for run in np.split(idx, starts[1:]):
+            seen: dict[str, int] = {}
+            for i in sorted(run.tolist()):
+                first[i] = seen.setdefault(labels[i], i)
+    distinct = first == np.arange(n)
+    kept = list(map(labels.__getitem__, np.flatnonzero(distinct).tolist()))
+    return (np.cumsum(distinct) - 1)[first], kept
+
+
 class _Column:
     """One column's codes, written chunk by chunk into one array, and its labels.
 
-    Each chunk's tokens are factorised on their own.  A chunk's first
-    tokens, in order, are the tokens' first appearances in the chunk, so
-    looking them up as ``str`` in the labels seen so far turns the chunk's
-    codes into the column's.  A first chunk with as many distinct tokens as
-    half its rows does not shrink that work: the column then keeps every
-    token's span and is factorised whole at the end.
+    Each chunk's tokens are factorised on their own, and a chunk's first
+    tokens, in order, are its tokens' first appearances.  Looking them up
+    as ``str`` in the labels seen so far turns the chunk's codes into the
+    column's.  In a column whose first chunk is more than half distinct,
+    the first tokens of each such chunk instead join the labels as they
+    are, as nearly every one is a label anyway, and the labels that repeat
+    are merged once, at the end (:func:`_merge`).
     """
 
-    def __init__(self, n_rows: int) -> None:
-        self.codes = np.empty(n_rows, dtype=np.int64)
-        self.index: dict[str, int] = {}  # label -> code, in first-appearance order
-        self.spans: np.ndarray | None = None  # starts and stops, when read whole
+    def __init__(self, max_rows: int) -> None:
+        self.codes = np.empty(max_rows, dtype=np.int64)
+        self.labels: list[str] = []  # in order of first appearance
+        self.index: dict[str, int] = {}  # the code of each label looked up so far
+        self.merge = False  # mostly distinct: labels may repeat until merged
 
     def add(self, text: str, chars: np.ndarray, base: int, row: int,
-            starts: np.ndarray, stops: np.ndarray, last: bool) -> None:
+            starts: np.ndarray, stops: np.ndarray) -> None:
         """Read the tokens ``text[starts[k]:stops[k]]`` of rows ``row, row + 1, ...``."""
-        hi = row + starts.size
-        if self.spans is None:
-            ids, first = _factorise(text, chars, base, starts, stops)
-            if row or last or 2 * first.size <= starts.size:
-                new = _slices(text, starts[first], stops[first])
-                lookup = np.array([self.index.setdefault(t, len(self.index)) for t in new])
-                self.codes[row:hi] = lookup[ids]
-                return
-            self.spans = np.empty((2, self.codes.size), dtype=np.int64)
-            self.codes = None
-        self.spans[0, row:hi] = starts
-        self.spans[1, row:hi] = stops
-
-    def finish(self, text: str, chars: np.ndarray, base: int) -> None:
-        """Factorise a column that is read whole; from then on, the code points are not needed."""
-        if self.spans is not None:
-            self.codes, first = _factorise(text, chars, base, self.spans[0], self.spans[1])
-            self.spans = self.spans[:, first]  # each label's span
-
-    def column(self, text: str, name: str) -> CategoricalColumn:
-        """The finished column; this object lets go of its codes."""
-        if self.spans is None:
-            labels = tuple(self.index)
+        ids, first = _factorise(text, chars, base, starts, stops)
+        tokens = _slices(text, starts[first], stops[first])
+        known = len(self.labels)
+        distinct = 2 * len(tokens) > ids.size
+        if not known:
+            self.merge = distinct
+        if self.merge and distinct:
+            lookup = np.arange(known, known + len(tokens))
         else:
-            labels = tuple(_slices(text, self.spans[0], self.spans[1]))
-        codes, self.codes = self.codes, None
-        return CategoricalColumn(name=name, levels=len(labels), codes=codes, labels=labels)
+            lookup = np.fromiter(map(self.index.get, tokens, repeat(-1)), np.int64, len(tokens))
+            new = np.flatnonzero(lookup < 0)
+            lookup[new] = np.arange(known, known + new.size)
+            tokens = list(map(tokens.__getitem__, new.tolist()))
+            self.index.update(zip(tokens, range(known, known + new.size)))
+        self.labels += tokens
+        self.codes[row : row + ids.size] = lookup[ids]
+
+    def column(self, name: str, n_rows: int) -> CategoricalColumn:
+        """The finished column of ``n_rows`` rows, which takes over the codes."""
+        codes, labels = self.codes, self.labels
+        self.codes = self.labels = self.index = None
+        codes.resize(n_rows, refcheck=False)  # shrinks in place
+        merged = _merge(labels) if self.merge else None
+        if merged is not None:
+            remap, labels = merged
+            for lo in range(0, n_rows, _SLICE_BLOCK):
+                block = codes[lo : lo + _SLICE_BLOCK]
+                block[:] = remap[block]
+        return CategoricalColumn._owning(name, codes, tuple(labels))
+
+
+class _Table:
+    """The columns of the whole lines read so far, and their names."""
+
+    def __init__(self, max_lines: int, delimiter: str, has_header: bool) -> None:
+        self.max_rows = max_lines - has_header
+        self.delimiter = delimiter
+        self.has_header = has_header
+        self.names: list[str] | None = None
+        self.columns: list[_Column] = []
+        self.lines = self.rows = 0
+
+    def add(self, text: str, final: bool) -> str:
+        """Read the whole lines of ``text``, which starts a line; returns the text after them.
+
+        ``final`` marks the input's last text.  Raises DataError for the
+        first ragged row or empty field.
+        """
+        chars = _code_points(text)
+        top = int(chars.max()) if chars.size else 0
+        ends = _line_ends(_line_breaks(chars, top), chars.size, final)
+        if not ends.size:
+            return text
+        chars, base, sep = _alphabet(chars[: int(ends[-1])], top, self.delimiter)
+        bounds, last_field, empty = _fields(chars, ends, sep)
+        if not self.lines:
+            self.columns = [_Column(self.max_rows) for _ in range(int(last_field[0]) + 1)]
+        width = len(self.columns)
+        error = _first_line_error(bounds, last_field, empty, width, self.lines)
+        if error is not None:
+            raise DataError(error)
+        del last_field, empty
+        first = 0
+        if not self.lines and self.has_header:
+            self.names = _slices(text, bounds[:width] + 1, bounds[1 : width + 1])
+            first = width
+        n = (bounds.size - 1 - first) // width
+        if self.rows + n > self.max_rows:
+            raise DataError("the input changed while it was read")
+        if n:
+            for field, column in enumerate(self.columns, start=first):
+                column.add(text, chars, base, self.rows, bounds[field:-1:width] + 1,
+                           bounds[field + 1 :: width])
+        self.lines += ends.size
+        self.rows += n
+        return text[int(ends[-1]) + 1 :]
+
+    def dataset(self) -> Dataset:
+        if self.names is None:
+            names = [f"V{j + 1}" for j in range(len(self.columns))]
+        else:
+            names = self.names
+            dup = _first_duplicate(names)
+            if dup is not None:
+                raise DataError(f"duplicate column name {dup!r} in header")
+        if not self.rows:
+            raise DataError("empty input: no data rows")
+        return Dataset(n_rows=self.rows, columns=tuple(
+            column.column(name, self.rows) for column, name in zip(self.columns, names)))
+
+
+def _read(text: _Text, table: _Table) -> Dataset:
+    """Read ``text`` into ``table`` a chunk at a time, carrying each chunk's last line on."""
+    tail = ""
+    blank = True  # the text so far is all line breaks
+    while not text.done:
+        chunk = tail + text.read(max(_CHUNK_BYTES, len(tail)))  # a long line is read in doublings
+        blank = blank and not chunk.strip(_LINE_BREAKS)
+        if blank and text.done:
+            raise DataError("empty input")
+        try:
+            tail = table.add(chunk, text.done)
+        except DataError:
+            while not text.done:  # invalid UTF-8 and empty input are reported first
+                piece = text.read(_CHUNK_BYTES)
+                blank = blank and not piece.strip(_LINE_BREAKS)
+            if blank:
+                raise DataError("empty input") from None
+            raise
+    return table.dataset()
 
 
 def read_delimited(
@@ -513,61 +702,24 @@ def read_delimited(
     unreadable or empty input, ragged rows, empty fields (naming the first
     offending physical line) or a duplicate header name.
 
-    The text is read as one array of code points, in chunks of whole lines
-    of about ``_CHUNK_BYTES``: each chunk's fields are found, checked and
-    factorised column by column into one code array per column.  Long
-    tokens are sliced as ``str`` where that is cheaper, so time and memory
-    are linear in its length (see the module docstring).
+    The input is streamed: a file's bytes, or a text stream's characters,
+    are read about ``_CHUNK_BYTES`` at a time, and each chunk's whole lines
+    are split, checked and factorised column by column into one code array
+    per column, sized by a first pass that counts line breaks.  Memory is
+    the codes, the labels and one chunk's text and scratch (or one line's,
+    where a line is longer); time is linear in the input's length (see the
+    module docstring).
     """
     check_delimiter(delimiter)
-    text, chars = _read_text(source)
-    top = int(chars.max()) if chars.size else 0
-    ends = _line_ends(chars, top)
-    chars, base, sep = _alphabet(chars, top, delimiter)
-
-    n_lines = ends.size
-    n_rows = n_lines - 1 if has_header else n_lines
-    span = max(1, _CHUNK_BYTES // chars.itemsize)
-    cuts = np.searchsorted(ends, np.arange(span, int(ends[-1]), span)) + 1
-    names: list[str] | None = None
-    columns: list[_Column] = []
-    lo = row = 0
-    for hi in sorted({*cuts.tolist(), n_lines}):
-        pos = int(ends[lo - 1]) + 1 if lo else 0
-        bounds, last_field, empty = _fields(chars[pos : int(ends[hi - 1])], ends[lo:hi] - pos, sep)
-        if not lo:
-            width = int(last_field[0]) + 1
-            columns = [_Column(n_rows) for _ in range(width)]
-        error = _first_line_error(bounds, last_field, empty, width, lo)
-        if error is not None:
-            raise DataError(error)
-        bounds += pos
-        first = 0
-        if not lo and has_header:
-            names = _slices(text, bounds[:width] + 1, bounds[1 : width + 1])
-            first = width
-        n = (bounds.size - 1 - first) // width
-        if n:
-            for field, column in enumerate(columns, start=first):
-                column.add(text, chars, base, row, bounds[field:-1:width] + 1,
-                           bounds[field + 1 :: width], hi == n_lines)
-        del bounds, last_field, empty
-        lo, row = hi, row + n
-    del ends, cuts
-    if names is None:
-        names = [f"V{j + 1}" for j in range(width)]
-    else:
-        dup = _first_duplicate(names)
-        if dup is not None:
-            raise DataError(f"duplicate column name {dup!r} in header")
-    if not n_rows:
-        raise DataError("empty input: no data rows")
-    for column in columns:
-        column.finish(text, chars, base)
-    del chars
-    return Dataset(
-        n_rows=n_rows, columns=tuple(c.column(text, name) for c, name in zip(columns, names))
-    )
+    if hasattr(source, "read"):
+        read, max_lines = _stream(source)
+        return _read(_Text(read), _Table(max_lines, delimiter, has_header))
+    try:
+        with open(source, "rb") as file:
+            max_lines = _line_bound(file, ord(delimiter))
+            return _read(_Text(file.read, str(source)), _Table(max_lines, delimiter, has_header))
+    except OSError as err:
+        raise DataError(f"cannot read {source}: {err}") from err
 
 
 def write_delimited(

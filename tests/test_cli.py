@@ -1,9 +1,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catci
 from catci import loglinear
 from catci.cli import main
 from catci.io import GenConfig, generate, write_delimited
@@ -174,6 +179,19 @@ class TestCmdTest:
         a, b = json.loads(closed), json.loads(via_ipf)
         assert b["method"] == "ipf"
         assert b["g2"] == pytest.approx(a["g2"], rel=1e-8)
+
+    def test_runs_as_python_module(self, data_file, capsys):
+        args = ["test", "--data", data_file, "--x", "X", "--y", "Y", "--cs", "Z1"]
+        _, in_process, _ = run_cli(capsys, args)
+        env = {**os.environ, "PYTHONPATH": str(Path(catci.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-m", "catci", *args], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == json.loads(in_process)
+        bad = subprocess.run([sys.executable, "-m", "catci", "test", "--data", data_file,
+                              "--x", "X", "--y", "nope"], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert bad.returncode == 4 and "nope" in bad.stderr
 
     def test_unconverged_ipf_is_data_error(self, data_file, capsys, monkeypatch):
         real_fit = loglinear.ipf_fit

@@ -58,6 +58,13 @@ class TestCategoricalColumn:
         with pytest.raises(ValueError):
             col.codes[0] = 1
 
+    def test_constructor_copies_the_callers_codes(self):
+        codes = np.array([0, 1, 1, 0], dtype=np.int64)
+        col = CategoricalColumn("a", 2, codes, labels=("p", "q"))
+        codes[:] = 5
+        assert col.codes.tolist() == [0, 1, 1, 0]
+        assert codes.flags.writeable
+
     @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=40))
     def test_factorize_roundtrip(self, tokens):
         col = CategoricalColumn.from_tokens("v", tokens)

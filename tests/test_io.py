@@ -449,12 +449,28 @@ class TestReaderChunks:
         if message is not None:
             assert got == f"DataError: {message}"
 
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_labels_of_distinct_chunks_merged(self, collide):
+        # Chunks of distinct ids join their labels as they are; the ids that
+        # recur in later chunks, distinct or not, are merged at the end, also
+        # where unequal labels share a hash.
+        ids = [f"u{i}" for i in np.random.default_rng(7).permutation(3000)]
+        tokens = ids + [ids[i % 5] for i in range(2000)] + ids[::-1] + ["v"]
+        text = "id,g\n" + "".join(f"{t},{i % 3}\n" for i, t in enumerate(tokens))
+        patches = {"_CHUNK_BYTES": 1 << 10}
+        if collide:
+            patches["hash"] = len
+        with mock.patch.multiple(catci_io, create=True, **patches):
+            ds = _read(text)
+        assert ds == read_delimited_reference(text)
+        assert ds.columns[0].labels == (*ids, "v")
+
     def test_memory_is_the_text_the_codes_and_one_chunk(self, tmp_path):
-        # 1M rows of 5 one-character fields: 10 MB of text, held as str and
-        # as code points, and 40 MB of codes.  What the reader holds beyond
-        # them is its line ends (8 bytes a line), one chunk's scratch and one
-        # column's codes while the Dataset copies them: under 24 bytes a row.
-        # A whole-file array of field ends alone would be 40 MB.
+        # 1M rows of 5 one-character fields: 10 MB of text and 40 MB of
+        # codes.  The reader streams the file: beyond the codes it holds one
+        # chunk's text and scratch, about 10 MB for 1 MiB chunks of 10-byte
+        # rows, and no copy of the codes.  Holding the text alone would be
+        # 10 MB more, and a whole-file array of field ends 40 MB.
         rng = np.random.default_rng(0)
         line = np.empty((1_000_000, 10), dtype=np.uint8)
         line[:, 0::2] = rng.integers(0, 4, (1_000_000, 5), dtype=np.uint8) + ord("0")
@@ -471,7 +487,109 @@ class TestReaderChunks:
             tracemalloc.stop()
         codes = sum(c.codes.nbytes for c in ds.columns)
         assert ds.n_rows == 1_000_000 and codes == 40_000_000
-        assert peak - codes - 2 * path.stat().st_size < 24 * 1_000_000
+        assert peak - codes < 12 * 1_000_000
+        assert all(c.codes.flags.owndata for c in ds.columns)
+
+
+def _read_file_in_chunks(path, chunk_bytes, **kw):
+    with mock.patch.object(catci_io, "_CHUNK_BYTES", chunk_bytes):
+        return _outcome(lambda: read_delimited(path, **kw))
+
+
+def _utf8_error_at(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return err.start
+    return None
+
+
+# Texts whose UTF-8 bytes a chunk end can cut: inside a 2-, 3- or 4-byte
+# code point, the 3-byte mark, "\r\n", U+0085 or U+2028; and a line
+# longer than several chunks.
+_BYTE_EDGES = [
+    ("a,b\né,x\n日,y\n\U0001f600,z\n", ","),
+    ("\ufeffa,b\r\nx,1\r\ny,2\r\n\r\n", ","),
+    ("a,b\x85x,1\u2028y,é\u2029\U0001f600,2\x85", ","),
+    ("a\tb\n" + "x" * 50 + "\t1\r\ny\t2\x0bz\t3\x1c", "\t"),
+    ("a;b\n" + "日" * 20 + ";\U0001f600\n;1\n", ";"),
+]
+
+
+class TestReaderFileChunks:
+    """Files read a few bytes at a time, against the reference on the decoded text."""
+
+    @pytest.mark.parametrize("text, delimiter", _BYTE_EDGES)
+    def test_every_byte_as_chunk_end(self, tmp_path, text, delimiter):
+        path = tmp_path / "edges.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(lambda: read_delimited_reference(text, delimiter=delimiter))
+        for chunk_bytes in range(1, len(text.encode()) + 2):
+            assert _read_file_in_chunks(path, chunk_bytes, delimiter=delimiter) == expected
+
+    @pytest.mark.parametrize("text, has_header", _CHUNK_EDGES)
+    def test_chunk_edges(self, tmp_path, text, has_header):
+        path = tmp_path / "edges.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(lambda: read_delimited_reference(text, has_header=has_header))
+        for chunk_bytes in range(1, len(text.encode()) + 2):
+            assert _read_file_in_chunks(path, chunk_bytes, has_header=has_header) == expected
+
+    @pytest.mark.parametrize("bad", [
+        b"\xff,2\n", b"x,\xe6\x97,2\n", b"\xc0\xaf,2\n", b"\xed\xa0\x80,2\n",
+        b"x,\xf0\x9f\x98", b"x,2\n\xe6",
+    ])
+    @pytest.mark.parametrize("head", [b"a,b\n" + b"x,1\n" * 30, b"a,b\nx\n" + b"x,1\n" * 30,
+                                      b"\n" * 40])
+    def test_invalid_utf8_in_a_later_chunk(self, tmp_path, head, bad):
+        # Reported at its offset in the file, ahead of a ragged row or an
+        # empty first line in an earlier chunk.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(head + bad)
+        offset = _utf8_error_at(head + bad)
+        assert offset is not None and offset >= len(head)
+        for chunk_bytes in (1, 2, 3, 7, 64, 1 << 20):
+            got = _read_file_in_chunks(path, chunk_bytes)
+            assert got == f"DataError: cannot read {path}: invalid UTF-8 at byte {offset}"
+
+    def test_codes_are_sized_by_a_first_pass(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("a,b\nx,1\ny,2\nz,3\n", encoding="utf-8")
+        with mock.patch.object(catci_io, "_line_bound", return_value=3):
+            with pytest.raises(DataError, match="changed while it was read"):
+                read_delimited(path)
+        assert read_delimited(path).n_rows == 3
+
+    @given(case=_delimited_inputs(), chunk_bytes=st.integers(1, 48))
+    @settings(max_examples=100)
+    def test_same_dataset_or_same_error(self, tmp_path_factory, case, chunk_bytes):
+        text, delimiter, has_header = case
+        path = tmp_path_factory.mktemp("case") / "case.csv"
+        path.write_bytes(text.encode())
+        kw = dict(delimiter=delimiter, has_header=has_header)
+        expected = _outcome(lambda: read_delimited_reference(text, **kw))
+        assert _read_file_in_chunks(path, chunk_bytes, **kw) == expected
+
+
+class _Unseekable(stringio.StringIO):
+    def seekable(self):
+        return False
+
+
+class TestReaderStreams:
+    @given(case=_delimited_inputs(), chunk_bytes=st.integers(1, 48))
+    @settings(max_examples=100)
+    def test_stream_that_cannot_seek(self, case, chunk_bytes):
+        text, delimiter, has_header = case
+        kw = dict(delimiter=delimiter, has_header=has_header)
+        expected = _outcome(lambda: read_delimited_reference(text, **kw))
+        with mock.patch.object(catci_io, "_CHUNK_BYTES", chunk_bytes):
+            assert _outcome(lambda: read_delimited(_Unseekable(text), **kw)) == expected
+
+    def test_stream_is_read_from_where_it_stands(self):
+        stream = stringio.StringIO("# notes\na,b\nx,1\n")
+        stream.readline()
+        assert read_delimited(stream) == _read("a,b\nx,1\n")
 
 
 @st.composite
