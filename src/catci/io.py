@@ -15,12 +15,15 @@ fields, which are checked.  Each column's tokens are factorised by a
 mixed-radix code over their code points built one offset at a time; once
 the tokens still being read are few or long, they are sliced and finished
 as ``str`` dict keys instead.  The chunk's codes become the column's by a
-``str`` lookup of its first tokens, and go straight into one int64 array
-per column, sized before the loop by a pass that counts line breaks.
-Memory is the codes, the labels and one chunk's text and scratch (or one
-line's, where a line is longer): the text is never held whole, and no
-array spans every line or field.  Reading is linear in the file size.  The
-numpy path pays per code point, so its gain over splitting lines with
+``str`` lookup of its first tokens (in a mostly distinct column, by a merge
+of the labels that repeat, once at the end), and go straight into one
+int64 array per column, sized before the loop by a pass that counts line
+breaks.  Memory is the codes, the labels and one chunk's text and scratch
+(or one line's, where a line is longer): the text of a file that can seek
+is never held whole, and no array spans every line or field.  A text
+stream, or a file that cannot seek, is held as read while its line breaks
+are counted.  Reading is linear in the file size.  The numpy path pays per
+code point, so its gain over splitting lines with
 ``str.split`` is largest for short tokens (scripts/reader_shapes.py).
 
 The generator is deterministic given (seed, config) via numpy's PCG64
@@ -31,13 +34,12 @@ from __future__ import annotations
 
 import codecs
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
-from typing import IO, BinaryIO, Callable, Iterable
+from typing import IO, BinaryIO, Callable
 
 import numpy as np
 
@@ -474,44 +476,64 @@ class _Text:
         return text
 
 
-def _line_bound(file: BinaryIO, sep: int) -> int:
-    """An upper bound on the lines of a UTF-8 file, from one pass over its bytes.
+def _byte_breaks(data: bytes | bytearray, sep: int, size: int | None = None) -> int:
+    """An upper bound on the line breaks in ``data[:size]``, a piece of a UTF-8 file.
 
-    Every line break is one of the bytes 0x0A..0x0D and 0x1C..0x1E, or a
-    code point led by 0xC2 (U+0085) or 0xE2 (U+2028, U+2029).  Bytes up to
-    0x1E other than the delimiter ``sep`` count as breaks, "\\r\\n" within
-    a chunk as one.  The file is left at its start.
+    Every line break is one of the bytes 0x0A..0x0D and 0x1C..0x1E, U+0085
+    (C2 85), U+2028 (E2 80 A8) or U+2029 (E2 80 A9).  Bytes up to 0x1E
+    other than the delimiter ``sep`` count, "\\r\\n" as one, and so does a
+    lead byte C2 or E2 that the end of the piece cuts off.
+    """
+    size = len(data) if size is None else size
+    chunk = np.frombuffer(data, np.uint8, size)
+    breaks = np.count_nonzero(chunk <= 0x1E)
+    if sep <= 0x1E:
+        breaks -= np.count_nonzero(chunk == sep)
+    if chunk.max() >= 0x80:
+        lead = np.flatnonzero(chunk[:-1] == 0xC2)
+        breaks += np.count_nonzero(chunk[lead + 1] == 0x85)
+        lead = np.flatnonzero(chunk[:-2] == 0xE2)
+        breaks += np.count_nonzero((chunk[lead + 1] == 0x80) & ((chunk[lead + 2] | 1) == 0xA9))
+        breaks += (chunk[-1] == 0xC2) + np.count_nonzero(chunk[-2:] == 0xE2)
+    if data.find(b"\r", 0, size) >= 0:
+        breaks -= data.count(b"\r\n", 0, size)
+    return int(breaks)
+
+
+def _line_bound(file: BinaryIO, sep: int) -> int:
+    """An upper bound on the lines of a UTF-8 file that can seek, from one pass over its bytes.
+
+    The file is left at its start.
     """
     buf = bytearray(_CHUNK_BYTES)
     lines = 1
     while size := file.readinto(buf):
-        chunk = np.frombuffer(buf, np.uint8, size)
-        lines += np.count_nonzero(chunk <= 0x1E)
-        if sep <= 0x1E:
-            lines -= np.count_nonzero(chunk == sep)
-        if chunk.max() >= 0x80:
-            lines += np.count_nonzero(chunk == 0xC2) + np.count_nonzero(chunk == 0xE2)
-        if buf.find(b"\r", 0, size) >= 0:
-            lines -= buf.count(b"\r\n", 0, size)
+        lines += _byte_breaks(buf, sep, size)
     file.seek(0)
-    return int(lines)
+    return lines
 
 
-def _stream(source: IO[str]) -> tuple[Callable[[int], str], int]:
-    """A read function for a text stream and an upper bound on its lines.
+def _held(
+    read: Callable[[int], str | bytes], count: Callable[[str | bytes], int], empty: str | bytes
+) -> tuple[Callable[[int], str | bytes], int]:
+    """A read function that replays a source held as read, and an upper bound on its lines.
 
-    The stream is read once to count its line breaks, and then read again
-    from where it stood; one that cannot seek back is held as the pieces
-    read the first time.
+    ``read(size)`` reads the source, returning ``empty`` at its end, and
+    ``count`` bounds the line breaks in one piece.  The replay returns the
+    next pieces held, joined, of at least ``size`` in all where so many are
+    left.
     """
-    pieces: Iterable[str] = iter(partial(source.read, _CHUNK_BYTES), "")
-    if source.seekable():
-        start = source.tell()
-        lines = 1 + sum(map(_count_breaks, pieces))
-        source.seek(start)
-        return source.read, lines
-    held = deque(pieces)
-    return (lambda size: held.popleft() if held else ""), 1 + sum(map(_count_breaks, held))
+    held = deque(iter(partial(read, _CHUNK_BYTES), empty))
+    lines = 1 + sum(map(count, held))
+
+    def replay(size: int) -> str | bytes:
+        out = []
+        while held and size > 0:
+            out.append(held.popleft())
+            size -= len(out[-1])
+        return empty.join(out)
+
+    return replay, lines
 
 
 def _count_breaks(text: str) -> int:
@@ -522,37 +544,24 @@ def _count_breaks(text: str) -> int:
 def _merge(labels: list[str]) -> tuple[np.ndarray, list[str]] | None:
     """Each label's code among the distinct ``labels``, in order of first appearance, and those.
 
-    Labels are sorted by hash and compared as ``str`` only where hashes
-    tie.  Returns None when the labels are distinct.
+    Only labels whose hash another label shares are compared, as ``str``
+    dict keys.  Returns None when the labels are distinct.
     """
     n = len(labels)
     hashes = np.fromiter(map(hash, labels), np.int64, n)
-    order = np.argsort(hashes)
-    hashes = hashes[order]
-    tie = hashes[1:] == hashes[:-1]
-    del hashes
-    if not tie.any():
+    ordered = np.sort(hashes)
+    repeats = np.unique(ordered[1:][ordered[1:] == ordered[:-1]])  # the hashes labels share
+    del ordered
+    if not repeats.size:
         return None
-    member = np.flatnonzero(np.append(tie, False) | np.insert(tie, 0, False))  # in runs of ties
-    starts = np.flatnonzero(~np.insert(tie, 0, False)[member])  # where each run starts
-    del tie
-    idx = order[member]
-    del order, member
-    sizes = np.diff(starts, append=idx.size)
-    heads = np.repeat(idx[starts], sizes)
-    equal = np.fromiter(map(operator.eq, map(labels.__getitem__, idx.tolist()),
-                            map(labels.__getitem__, heads.tolist())), bool, idx.size)
+    at = np.minimum(np.searchsorted(repeats, hashes), repeats.size - 1)
+    shared = np.flatnonzero(repeats[at] == hashes).tolist()
+    del hashes, at
     first = np.arange(n)  # each label's first equal label
-    if equal.all():
-        first[idx] = np.repeat(np.minimum.reduceat(idx, starts), sizes)
-    else:  # unequal labels with equal hashes
-        for run in np.split(idx, starts[1:]):
-            seen: dict[str, int] = {}
-            for i in sorted(run.tolist()):
-                first[i] = seen.setdefault(labels[i], i)
+    seen: dict[str, int] = {}
+    first[shared] = list(map(seen.setdefault, map(labels.__getitem__, shared), shared))
     distinct = first == np.arange(n)
-    kept = list(map(labels.__getitem__, np.flatnonzero(distinct).tolist()))
-    return (np.cumsum(distinct) - 1)[first], kept
+    return (np.cumsum(distinct) - 1)[first], list(compress(labels, distinct))
 
 
 class _Column:
@@ -561,17 +570,18 @@ class _Column:
     Each chunk's tokens are factorised on their own, and a chunk's first
     tokens, in order, are its tokens' first appearances.  Looking them up
     as ``str`` in the labels seen so far turns the chunk's codes into the
-    column's.  In a column whose first chunk is more than half distinct,
-    the first tokens of each such chunk instead join the labels as they
-    are, as nearly every one is a label anyway, and the labels that repeat
-    are merged once, at the end (:func:`_merge`).
+    column's.  A column whose first chunk is more than half distinct (ids)
+    skips the lookup: each chunk's first tokens join the labels as they
+    are, and the labels that repeat are merged once, at the end
+    (:func:`_merge`).  Looking up nearly every token in a dict that grows to
+    hold them all would take 50-70% more time and some 33 MB more memory on
+    500k distinct ids or UUIDs (scripts/reader_shapes.py).
     """
 
     def __init__(self, max_rows: int) -> None:
         self.codes = np.empty(max_rows, dtype=np.int64)
-        self.labels: list[str] = []  # in order of first appearance
-        self.index: dict[str, int] = {}  # the code of each label looked up so far
-        self.merge = False  # mostly distinct: labels may repeat until merged
+        self.labels: list[str] = []  # in order of first appearance, repeats until merged
+        self.index: dict[str, int] | None = {}  # each label's code; None: merged at the end
 
     def add(self, text: str, chars: np.ndarray, base: int, row: int,
             starts: np.ndarray, stops: np.ndarray) -> None:
@@ -579,10 +589,9 @@ class _Column:
         ids, first = _factorise(text, chars, base, starts, stops)
         tokens = _slices(text, starts[first], stops[first])
         known = len(self.labels)
-        distinct = 2 * len(tokens) > ids.size
-        if not known:
-            self.merge = distinct
-        if self.merge and distinct:
+        if not known and 2 * len(tokens) > ids.size:
+            self.index = None
+        if self.index is None:
             lookup = np.arange(known, known + len(tokens))
         else:
             lookup = np.fromiter(map(self.index.get, tokens, repeat(-1)), np.int64, len(tokens))
@@ -595,10 +604,10 @@ class _Column:
 
     def column(self, name: str, n_rows: int) -> CategoricalColumn:
         """The finished column of ``n_rows`` rows, which takes over the codes."""
-        codes, labels = self.codes, self.labels
+        codes, labels, merge = self.codes, self.labels, self.index is None
         self.codes = self.labels = self.index = None
         codes.resize(n_rows, refcheck=False)  # shrinks in place
-        merged = _merge(labels) if self.merge else None
+        merged = _merge(labels) if merge else None
         if merged is not None:
             remap, labels = merged
             for lo in range(0, n_rows, _SLICE_BLOCK):
@@ -707,17 +716,21 @@ def read_delimited(
     are split, checked and factorised column by column into one code array
     per column, sized by a first pass that counts line breaks.  Memory is
     the codes, the labels and one chunk's text and scratch (or one line's,
-    where a line is longer); time is linear in the input's length (see the
-    module docstring).
+    where a line is longer); a text stream, or a file that cannot seek,
+    such as a pipe, is also held whole while that pass reads it.  Time is
+    linear in the input's length (see the module docstring).
     """
     check_delimiter(delimiter)
     if hasattr(source, "read"):
-        read, max_lines = _stream(source)
+        read, max_lines = _held(source.read, _count_breaks, "")
         return _read(_Text(read), _Table(max_lines, delimiter, has_header))
     try:
         with open(source, "rb") as file:
-            max_lines = _line_bound(file, ord(delimiter))
-            return _read(_Text(file.read, str(source)), _Table(max_lines, delimiter, has_header))
+            if file.seekable():
+                read, max_lines = file.read, _line_bound(file, ord(delimiter))
+            else:  # a pipe
+                read, max_lines = _held(file.read, partial(_byte_breaks, sep=ord(delimiter)), b"")
+            return _read(_Text(read, str(source)), _Table(max_lines, delimiter, has_header))
     except OSError as err:
         raise DataError(f"cannot read {source}: {err}") from err
 

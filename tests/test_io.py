@@ -1,6 +1,8 @@
 import hashlib
 import io as stringio
 import math
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -451,9 +453,10 @@ class TestReaderChunks:
 
     @pytest.mark.parametrize("collide", [False, True])
     def test_labels_of_distinct_chunks_merged(self, collide):
-        # Chunks of distinct ids join their labels as they are; the ids that
-        # recur in later chunks, distinct or not, are merged at the end, also
-        # where unequal labels share a hash.
+        # A column whose first chunk is mostly distinct joins every chunk's
+        # labels as they are; the ids that recur in later chunks, distinct
+        # or not, are merged at the end, also where unequal labels share a
+        # hash.
         ids = [f"u{i}" for i in np.random.default_rng(7).permutation(3000)]
         tokens = ids + [ids[i % 5] for i in range(2000)] + ids[::-1] + ["v"]
         text = "id,g\n" + "".join(f"{t},{i % 3}\n" for i, t in enumerate(tokens))
@@ -569,6 +572,78 @@ class TestReaderFileChunks:
         kw = dict(delimiter=delimiter, has_header=has_header)
         expected = _outcome(lambda: read_delimited_reference(text, **kw))
         assert _read_file_in_chunks(path, chunk_bytes, **kw) == expected
+
+
+    def test_line_bound_counts_only_line_break_sequences(self):
+        # U+0085 shares its lead byte with U+0080..U+00BF, and U+2028 and
+        # U+2029 share theirs with U+2000..U+2FFF; only the breaks count.
+        text = "’,“\n–,€\x85£,°\u2028\u00a0,·\u2029•,\u2027\n\u0085é,x\n" * 10_000
+        data = text.encode()
+        assert len(data) < catci_io._CHUNK_BYTES
+        assert catci_io._line_bound(stringio.BytesIO(data), ord(",")) == 1 + len(text.splitlines())
+
+
+def _fill_pipe(path, data):
+    """Start a thread that writes ``data`` to the named pipe ``path`` once it is opened."""
+    writer = threading.Thread(target=path.write_bytes, args=(data,))
+    writer.start()
+    return writer
+
+
+def _drain(path, writer):
+    """Wait for a pipe's writer, reading what a failed read left in the pipe."""
+    writer.join(timeout=5)
+    if writer.is_alive():
+        path.read_bytes()
+        writer.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestReaderPipes:
+    """Files that cannot seek, such as a named pipe or a shell's process substitution."""
+
+    @pytest.mark.parametrize("text, delimiter", _BYTE_EDGES)
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 1 << 20])
+    def test_named_pipe(self, tmp_path, text, delimiter, chunk_bytes):
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = _fill_pipe(path, text.encode())
+        try:
+            got = _read_file_in_chunks(path, chunk_bytes, delimiter=delimiter)
+        finally:
+            _drain(path, writer)
+        assert got == _outcome(lambda: read_delimited_reference(text, delimiter=delimiter))
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 1 << 20])
+    def test_invalid_utf8_in_a_named_pipe(self, tmp_path, chunk_bytes):
+        head = b"a,b\nx\n" + b"x,1\n" * 30
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = _fill_pipe(path, head + b"x,\xe6\x97,2\n")
+        try:
+            got = _read_file_in_chunks(path, chunk_bytes)
+        finally:
+            _drain(path, writer)
+        assert got == f"DataError: cannot read {path}: invalid UTF-8 at byte {len(head) + 2}"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_named_by_its_descriptor(self):
+        # What a shell passes for --data <(zcat data.csv.gz).
+        text = "a,b\n" + "".join(f"x{i % 7},{i % 3}\n" for i in range(100_000))
+        r, w = os.pipe()
+
+        def write():
+            with open(w, "wb") as sink:
+                sink.write(text.encode())
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            ds = read_delimited(f"/dev/fd/{r}")
+        finally:
+            writer.join()
+            os.close(r)
+        assert ds == read_delimited_reference(text)
 
 
 class _Unseekable(stringio.StringIO):
