@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .citest import batch_screen, ci_test
+from .citest import ci_test
 from .core import TestSpec
 from .io import GenConfig, generate
 
@@ -26,9 +26,10 @@ class BenchConfig:
     """Benchmark grid; defaults mirror the standard T/n/scenario layout.
 
     Each scenario is the full level tuple (X, Y, Z_1..Z_k); the defaults are
-    the 12-, 48- and 192-dof configurations.  ``batch_workers > 0`` adds,
-    per method, a timing of ``batch_screen`` with that worker count as a
-    separate method label.
+    the 12-, 48- and 192-dof configurations.  Every cell times each method
+    in ``methods`` by T back-to-back :func:`ci_test` calls.  No value
+    stands for a default: an empty grid axis or zero repetitions is a
+    ``ValueError``.
     """
 
     test_counts: tuple[int, ...] = (500, 1000, 2000, 3000, 5000)
@@ -36,7 +37,6 @@ class BenchConfig:
     scenarios: tuple[tuple[int, ...], ...] = ((3, 4, 2), (3, 4, 2, 4), (3, 4, 2, 4, 4))
     repetitions: int = 50
     methods: tuple[str, ...] = ("closed_form", "ipf")
-    batch_workers: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -50,10 +50,10 @@ class BenchConfig:
             raise ValueError("test counts must be positive")
         if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
             raise ValueError("sample sizes must be positive")
+        if not self.scenarios:
+            raise ValueError("scenarios must be nonempty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.batch_workers < 0:
-            raise ValueError("batch_workers must be >= 0")
         if not self.methods or any(m not in _METHODS for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of {_METHODS}")
         for scenario in self.scenarios:
@@ -92,21 +92,9 @@ def scenario_id(levels: Sequence[int]) -> str:
     return head
 
 
-def _method_labels(config: BenchConfig) -> list[tuple[str, str, int]]:
-    """(label, method, batch worker count or 0) in reporting order."""
-    labels = [(m, m, 0) for m in config.methods]
-    if config.batch_workers > 0:
-        labels += [
-            (f"{m}+batch{config.batch_workers}", m, config.batch_workers)
-            for m in config.methods
-        ]
-    return labels
-
-
 def run_bench(config: BenchConfig = BenchConfig()) -> list[BenchRecord]:
     """Measure the full grid and return records in (scenario, n, T, method) order."""
     records: list[BenchRecord] = []
-    labels = _method_labels(config)
     seed = int(config.seed)
 
     for scenario in config.scenarios:
@@ -117,39 +105,33 @@ def run_bench(config: BenchConfig = BenchConfig()) -> list[BenchRecord]:
             # absorb one-time allocation and code-path effects.
             warm = generate(GenConfig(n=n, levels=scenario, seed=seed))
             seed += 1
-            for _, method, workers in labels:
-                _run_tests(warm, spec, min(config.test_counts), method, workers)
+            for method in config.methods:
+                for _ in range(min(config.test_counts)):
+                    ci_test(warm, spec, method=method)
             for t_count in config.test_counts:
-                sums = {label: 0.0 for label, _, _ in labels}
+                sums = dict.fromkeys(config.methods, 0.0)
                 for _ in range(config.repetitions):
                     data = generate(GenConfig(n=n, levels=scenario, seed=seed))
                     seed += 1
-                    for label, method, workers in labels:
+                    for method in config.methods:
                         start = time.perf_counter()
-                        _run_tests(data, spec, t_count, method, workers)
-                        sums[label] += time.perf_counter() - start
-                means = {label: s / config.repetitions for label, s in sums.items()}
-                baseline = means.get(_BASELINE, means[labels[0][0]])
-                for label, _, _ in labels:
+                        for _ in range(t_count):
+                            ci_test(data, spec, method=method)
+                        sums[method] += time.perf_counter() - start
+                means = {method: s / config.repetitions for method, s in sums.items()}
+                baseline = means.get(_BASELINE, means[config.methods[0]])
+                for method in config.methods:
                     records.append(
                         BenchRecord(
                             scenario=sid,
                             n=n,
                             tests=t_count,
-                            method=label,
-                            mean_seconds=means[label],
-                            normalized=means[label] / baseline,
+                            method=method,
+                            mean_seconds=means[method],
+                            normalized=means[method] / baseline,
                         )
                     )
     return records
-
-
-def _run_tests(data, spec: TestSpec, t_count: int, method: str, batch_workers: int) -> None:
-    if batch_workers > 0:
-        batch_screen(data, [spec] * t_count, workers=batch_workers, method=method)
-        return
-    for _ in range(t_count):
-        ci_test(data, spec, method=method)
 
 
 def emit_report(records: Sequence[BenchRecord], format: str = "tsv") -> str:

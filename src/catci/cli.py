@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from itertools import combinations
 from pathlib import Path
 from typing import Sequence
@@ -189,10 +190,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        message = f"expected comma-separated integers, got {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _scenario_list(text: str) -> tuple[tuple[int, ...], ...]:
@@ -211,37 +214,29 @@ def _positive_int(text: str) -> int:
 
 def _method_list(text: str) -> tuple[str, ...]:
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not all(name in _METHOD_NAMES for name in names):
+    if not names or not all(name in _METHOD_NAMES for name in names):
         message = f"expected a comma-separated subset of closed,ipf, got {text!r}"
         raise argparse.ArgumentTypeError(message)
     return tuple(map(_method_name, names))
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.test_counts:
-        kwargs["test_counts"] = args.test_counts
-    if args.sample_sizes:
-        kwargs["sample_sizes"] = args.sample_sizes
-    if args.scenarios:
-        kwargs["scenarios"] = args.scenarios
-    if args.repetitions:
-        kwargs["repetitions"] = args.repetitions
-    if args.methods:
-        kwargs["methods"] = args.methods
-    kwargs["batch_workers"] = args.batch_workers
-    kwargs["seed"] = args.seed
     try:
-        config = bench_mod.BenchConfig(**kwargs)
+        config = bench_mod.BenchConfig(
+            test_counts=args.test_counts,
+            sample_sizes=args.sample_sizes,
+            scenarios=args.scenarios,
+            repetitions=args.repetitions,
+            methods=args.methods,
+            seed=args.seed,
+        )
     except ValueError as err:
         print(f"error: bad benchmark configuration: {err}", file=sys.stderr)
         return 2
-    report = bench_mod.emit_report(bench_mod.run_bench(config), format=args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    # Opened before the grid runs, so that an unwritable path fails at once.
+    out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    with out as fh:
+        fh.write(bench_mod.emit_report(bench_mod.run_bench(config), format=args.format))
     return 0
 
 
@@ -291,18 +286,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_bench = sub.add_parser("bench", help="timing benchmark over the scenario grid")
-    p_bench.add_argument("--test-counts", default=(), type=_int_list,
-                         help="e.g. 500,1000,2000,3000,5000")
-    p_bench.add_argument("--sample-sizes", default=(), type=_int_list, help="e.g. 3000,5000,10000")
-    p_bench.add_argument("--scenarios", default=(), type=_scenario_list,
-                         help="semicolon-separated level tuples, e.g. '3,4,2;3,4,2,4,4'")
-    p_bench.add_argument("--repetitions", type=int, default=0, help="0 keeps the default (50)")
-    p_bench.add_argument("--methods", default=(), type=_method_list, help="subset of closed,ipf")
-    p_bench.add_argument("--batch-workers", type=int, default=0,
-                         help="also time batch_screen with this many workers")
-    p_bench.add_argument("--seed", type=int, default=0)
+    defaults = bench_mod.BenchConfig
+    p_bench.add_argument("--test-counts", default=defaults.test_counts, type=_int_list,
+                         help="comma-separated test counts T (default %(default)s)")
+    p_bench.add_argument("--sample-sizes", default=defaults.sample_sizes, type=_int_list,
+                         help="comma-separated sample sizes n (default %(default)s)")
+    p_bench.add_argument("--scenarios", default=defaults.scenarios, type=_scenario_list,
+                         help="semicolon-separated level tuples, e.g. '3,4,2;3,4,2,4,4' "
+                         "(default %(default)s)")
+    p_bench.add_argument("--repetitions", default=defaults.repetitions, type=_positive_int,
+                         help="datasets timed per cell (default %(default)s)")
+    p_bench.add_argument("--methods", default=defaults.methods, type=_method_list,
+                         help="subset of closed,ipf (default both)")
+    p_bench.add_argument("--seed", default=defaults.seed, type=int)
     p_bench.add_argument("--format", choices=("tsv", "markdown"), default="tsv")
-    p_bench.add_argument("--out", default="", help="write the report here instead of stdout")
+    p_bench.add_argument("--out", help="write the report here instead of stdout")
     p_bench.set_defaults(handler=_cmd_bench)
     return parser
 

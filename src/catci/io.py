@@ -7,24 +7,24 @@ the delimiter), first line an optional header.  Columns are factorized to
 0-based codes in first-appearance order.
 
 The reader streams its input.  It reads a file's bytes about
-``_CHUNK_BYTES`` at a time and decodes them as UTF-8 (a text stream's
-characters likewise), and carries each chunk's last, partial line into the
-next.  A chunk's whole lines become one numpy array of code points (uint8
-for ASCII, uint32 otherwise), whose delimiters and line breaks give the
-fields, which are checked.  Each column's tokens are factorised by a
-mixed-radix code over their code points built one offset at a time; once
-the tokens still being read are few or long, they are sliced and finished
-as ``str`` dict keys instead.  The chunk's codes become the column's by a
-``str`` lookup of its first tokens (in a mostly distinct column, by a merge
-of the labels that repeat, once at the end), and go straight into one
-int64 array per column, sized before the loop by a pass that counts line
-breaks.  Memory is the codes, the labels and one chunk's text and scratch
-(or one line's, where a line is longer): the text of a file that can seek
-is never held whole, and no array spans every line or field.  A text
-stream, or a file that cannot seek, is held as read while its line breaks
-are counted.  Reading is linear in the file size.  The numpy path pays per
-code point, so its gain over splitting lines with
-``str.split`` is largest for short tokens (scripts/reader_shapes.py).
+``_CHUNK_BYTES`` at a time and decodes them as UTF-8, and carries each
+chunk's last, partial line into the next.  A chunk's whole lines become one
+numpy array of code points (uint8 for ASCII, uint32 otherwise), whose
+delimiters and line breaks give the fields, which are checked.  Each
+column's tokens are factorised by a mixed-radix code over their code points
+built one offset at a time; once the tokens still being read are few or
+long, they are sliced and finished as ``str`` dict keys instead.  The
+chunk's codes become the column's by a ``str`` lookup of its first tokens
+(in a mostly distinct column, by a merge of the labels that repeat, once at
+the end), and go straight into one int64 array per column, sized before the
+loop by a pass that counts line breaks.  Memory is the codes, the labels
+and one chunk's text and scratch (or one line's, where a line is longer):
+the text of a file that can seek is never held whole, and no array spans
+every line or field.  A stream, text or binary, or a file that cannot seek,
+is held as read, as UTF-8 bytes, while its line breaks are counted.
+Reading is linear in the file size.  The numpy path pays per code point, so
+its gain over splitting lines with ``str.split`` is largest for short
+tokens (scripts/reader_shapes.py).
 
 The generator is deterministic given (seed, config) via numpy's PCG64
 stream, so datasets are bit-reproducible across platforms.
@@ -268,9 +268,12 @@ def _alphabet(chars: np.ndarray, top: int, delimiter: str) -> tuple[np.ndarray, 
     np.cumsum(rank, out=rank)
     base = int(rank[-1])
     rank -= 1
-    dense = np.empty(chars.size, dtype=np.uint16 if base <= 1 << 16 else np.uint32)
+    # Gathered in the result's dtype; "clip" (no index is out of range) skips take's buffer.
+    table = rank.astype(np.uint16 if base <= 1 << 16 else np.uint32)
+    dense = np.empty(chars.size, dtype=table.dtype)
     for lo in blocks:
-        dense[lo : lo + _CHUNK_BYTES] = rank[chars[lo : lo + _CHUNK_BYTES]]
+        hi = lo + _CHUNK_BYTES
+        np.take(table, chars[lo:hi], out=dense[lo:hi], mode="clip")
     return dense, base, int(rank[sep]) if present else base
 
 
@@ -430,29 +433,36 @@ def _factorise(
 
 
 class _Text:
-    """The text of a file or a text stream, read a piece at a time.
+    """The text of a source of UTF-8 bytes, read a piece at a time.
 
-    A file's bytes are decoded as UTF-8 as they are read; invalid UTF-8
-    raises DataError at its byte offset in the file.  Pieces come without
-    a leading byte-order mark and with each "\\r\\n" as one line break, also
-    where a piece ends between the two.
+    The bytes are decoded as they are read; invalid UTF-8 raises DataError
+    at its byte offset in the source.  Pieces come without a leading
+    byte-order mark and with each "\\r\\n" as one line break, also where a
+    piece ends between the two.
     """
 
-    def __init__(self, read: Callable[[int], str | bytes], name: str | None = None) -> None:
+    def __init__(self, read: Callable[[int], bytes], name: str) -> None:
         self._read = read  # read(size) of the source, empty at its end
-        self._name = name  # the file's name, or None for a text stream
-        self._bytes = b""  # the file's bytes read but not yet decoded
-        self._offset = 0  # their offset in the file
+        self._name = name  # the source's name, for errors
+        self._bytes = b""  # the bytes read but not yet decoded
+        self._offset = 0  # their offset in the source
         self._first = True  # no text has come yet
         self._cr = False  # the text so far ends with "\r"
         self.done = False
 
     def read(self, size: int) -> str:
-        """The next piece of text, from about ``size`` more bytes or characters."""
-        piece = self._read(size)
-        self.done = not piece
-        if self._name is not None:
-            piece = self._decode(piece)
+        """The next piece of text, from about ``size`` more bytes."""
+        chunk = self._read(size)
+        self.done = not chunk
+        data = self._bytes + chunk
+        try:
+            piece, used = codecs.utf_8_decode(data, "strict", self.done)
+        except UnicodeDecodeError as err:
+            raise DataError(
+                f"cannot read {self._name}: invalid UTF-8 at byte {self._offset + err.start}"
+            ) from err
+        self._bytes = data[used:]  # a code point that the chunk cut
+        self._offset += used
         if piece:
             if self._first:
                 piece = piece.removeprefix("\ufeff")
@@ -462,18 +472,6 @@ class _Text:
             if "\r" in piece:
                 piece = piece.replace("\r\n", "\n")
         return piece
-
-    def _decode(self, chunk: bytes) -> str:
-        data = self._bytes + chunk
-        try:
-            text, used = codecs.utf_8_decode(data, "strict", not chunk)
-        except UnicodeDecodeError as err:
-            raise DataError(
-                f"cannot read {self._name}: invalid UTF-8 at byte {self._offset + err.start}"
-            ) from err
-        self._bytes = data[used:]  # a code point that the chunk cut
-        self._offset += used
-        return text
 
 
 def _byte_breaks(data: bytes | bytearray, sep: int, size: int | None = None) -> int:
@@ -513,32 +511,34 @@ def _line_bound(file: BinaryIO, sep: int) -> int:
     return lines
 
 
-def _held(
-    read: Callable[[int], str | bytes], count: Callable[[str | bytes], int], empty: str | bytes
-) -> tuple[Callable[[int], str | bytes], int]:
+def _held(read: Callable[[int], bytes], sep: int) -> tuple[Callable[[int], bytes], int]:
     """A read function that replays a source held as read, and an upper bound on its lines.
 
-    ``read(size)`` reads the source, returning ``empty`` at its end, and
-    ``count`` bounds the line breaks in one piece.  The replay returns the
-    next pieces held, joined, of at least ``size`` in all where so many are
-    left.
+    ``read(size)`` reads the source's UTF-8 bytes, returning ``b""`` at its
+    end, and ``sep`` is the delimiter.  The replay returns the next pieces
+    held, joined, of at least ``size`` bytes in all where so many are left.
     """
-    held = deque(iter(partial(read, _CHUNK_BYTES), empty))
-    lines = 1 + sum(map(count, held))
+    held = deque(iter(partial(read, _CHUNK_BYTES), b""))
+    lines = 1 + sum(_byte_breaks(piece, sep) for piece in held)
 
-    def replay(size: int) -> str | bytes:
+    def replay(size: int) -> bytes:
         out = []
         while held and size > 0:
             out.append(held.popleft())
             size -= len(out[-1])
-        return empty.join(out)
+        return b"".join(out)
 
     return replay, lines
 
 
-def _count_breaks(text: str) -> int:
-    chars = _code_points(text)
-    return _line_breaks(chars, int(chars.max())).size
+def _utf8(piece: str | bytes, name: str) -> bytes:
+    """A piece of a text or binary stream as UTF-8 bytes; a lone surrogate raises DataError."""
+    if isinstance(piece, bytes):
+        return piece
+    try:
+        return piece.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise DataError(f"cannot read {name}: lone surrogate {piece[err.start]!r}") from err
 
 
 def _merge(labels: list[str]) -> tuple[np.ndarray, list[str]] | None:
@@ -698,7 +698,7 @@ def _read(text: _Text, table: _Table) -> Dataset:
 
 
 def read_delimited(
-    source: str | Path | IO[str],
+    source: str | Path | IO[str] | IO[bytes],
     *,
     delimiter: str = ",",
     has_header: bool = True,
@@ -711,25 +711,28 @@ def read_delimited(
     unreadable or empty input, ragged rows, empty fields (naming the first
     offending physical line) or a duplicate header name.
 
-    The input is streamed: a file's bytes, or a text stream's characters,
-    are read about ``_CHUNK_BYTES`` at a time, and each chunk's whole lines
-    are split, checked and factorised column by column into one code array
-    per column, sized by a first pass that counts line breaks.  Memory is
-    the codes, the labels and one chunk's text and scratch (or one line's,
-    where a line is longer); a text stream, or a file that cannot seek,
-    such as a pipe, is also held whole while that pass reads it.  Time is
-    linear in the input's length (see the module docstring).
+    The input is streamed: a file's bytes are read about ``_CHUNK_BYTES``
+    at a time, and each chunk's whole lines are split, checked and
+    factorised column by column into one code array per column, sized by a
+    first pass that counts line breaks.  Memory is the codes, the labels
+    and one chunk's text and scratch (or one line's, where a line is
+    longer).  A stream, text or binary, is read from where it stands and
+    held as UTF-8 bytes while its line breaks are counted, as is a file
+    that cannot seek, such as a pipe; either is then read like a file.  A
+    text stream's lone surrogate is a DataError.  Time is linear in the
+    input's length (see the module docstring).
     """
     check_delimiter(delimiter)
     if hasattr(source, "read"):
-        read, max_lines = _held(source.read, _count_breaks, "")
-        return _read(_Text(read), _Table(max_lines, delimiter, has_header))
+        name = str(getattr(source, "name", "<stream>"))
+        read, max_lines = _held(lambda size: _utf8(source.read(size), name), ord(delimiter))
+        return _read(_Text(read, name), _Table(max_lines, delimiter, has_header))
     try:
         with open(source, "rb") as file:
             if file.seekable():
                 read, max_lines = file.read, _line_bound(file, ord(delimiter))
             else:  # a pipe
-                read, max_lines = _held(file.read, partial(_byte_breaks, sep=ord(delimiter)), b"")
+                read, max_lines = _held(file.read, ord(delimiter))
             return _read(_Text(read, str(source)), _Table(max_lines, delimiter, has_header))
     except OSError as err:
         raise DataError(f"cannot read {source}: {err}") from err

@@ -28,6 +28,8 @@ class TestBenchConfig:
             BenchConfig(methods=("nonsense",))
         with pytest.raises(ValueError):
             BenchConfig(scenarios=((3,),))
+        with pytest.raises(ValueError, match="scenarios must be nonempty"):
+            BenchConfig(scenarios=())
         with pytest.raises(ValueError, match="Z strata"):
             BenchConfig(scenarios=((3, 4) + (4,) * 13,))
         with pytest.raises(ValueError, match="seed"):
@@ -87,11 +89,6 @@ class TestRunBench:
             if 2.0 * 0.75 <= ratio <= 2.0 * 1.25:
                 break
         assert 2.0 * 0.75 <= ratio <= 2.0 * 1.25
-
-    def test_batch_worker_label(self):
-        records = run_bench(_quick_config(batch_workers=2, test_counts=(4,)))
-        labels = {r.method for r in records}
-        assert labels == {"closed_form", "closed_form+batch2"}
 
 
 class TestEmitReport:

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import catci
 from catci import loglinear
-from catci.cli import main
+from catci.bench import BenchConfig
+from catci.cli import _build_parser, main
 from catci.io import GenConfig, generate, write_delimited
 
 JSONL_KEYS = [
@@ -333,7 +335,7 @@ class TestCmdBatch:
 class TestCmdBench:
     @pytest.mark.parametrize("flag, value", [
         ("--scenarios", "3,4,x"), ("--scenarios", "3,4;2,x"), ("--test-counts", "x"),
-        ("--sample-sizes", "10,x"),
+        ("--sample-sizes", "10,x"), ("--test-counts", ""), ("--sample-sizes", " , "),
     ])
     def test_bad_list_is_usage_error(self, capsys, flag, value):
         with pytest.raises(SystemExit) as err:
@@ -348,7 +350,7 @@ class TestCmdBench:
     _SMALL_GRID = ["bench", "--test-counts", "1", "--sample-sizes", "10", "--scenarios", "3,4",
                    "--repetitions", "1"]
 
-    @pytest.mark.parametrize("methods", ["foo", "closed,foo"])
+    @pytest.mark.parametrize("methods", ["foo", "closed,foo", ""])
     def test_unknown_method_is_usage_error(self, capsys, methods):
         with pytest.raises(SystemExit) as err:
             main(self._SMALL_GRID + ["--methods", methods])
@@ -358,6 +360,34 @@ class TestCmdBench:
             "catci bench: error: argument --methods: "
             f"expected a comma-separated subset of closed,ipf, got {methods!r}"
         ]
+
+    @pytest.mark.parametrize("repetitions", ["0", "-1", "x"])
+    def test_bad_repetitions_is_usage_error(self, capsys, repetitions):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--repetitions", repetitions])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [ln for ln in lines if "error:" in ln] == [
+            f"catci bench: error: argument --repetitions: expected a positive integer, "
+            f"got {repetitions!r}"
+        ]
+
+    def test_no_scenarios_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["bench", "--scenarios", ""])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: bad benchmark configuration: scenarios must be nonempty"]
+
+    def test_defaults_are_bench_config_defaults(self):
+        args = _build_parser().parse_args(["bench"])
+        fields = {f.name for f in dataclasses.fields(BenchConfig)}
+        assert {name: getattr(args, name) for name in fields} == dataclasses.asdict(BenchConfig())
+
+    def test_unwritable_out_fails_before_the_grid(self, tmp_path, capsys):
+        with mock.patch("catci.bench.run_bench") as run_bench:
+            code, out, err = run_cli(capsys, ["bench", "--out", str(tmp_path / "nodir" / "x")])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        run_bench.assert_not_called()
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64 - 1)])
     def test_seed_out_of_range_exits_2(self, capsys, seed):

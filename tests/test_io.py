@@ -96,7 +96,7 @@ def _outcome(parse):
 @st.composite
 def _delimited_inputs(draw):
     """(text, delimiter, has_header): free-form character soup or near-regular rows."""
-    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    delimiter = draw(st.sampled_from([",", ";", "\t", "·"]))
     has_header = draw(st.booleans())
     if draw(st.booleans()):
         pieces = st.sampled_from(_LINE_BREAKS + _TOKENS + [delimiter] * 3)
@@ -508,14 +508,19 @@ def _utf8_error_at(data):
 
 
 # Texts whose UTF-8 bytes a chunk end can cut: inside a 2-, 3- or 4-byte
-# code point, the 3-byte mark, "\r\n", U+0085 or U+2028; and a line
-# longer than several chunks.
+# code point, the 3-byte mark, "\r\n", U+0085 or U+2028; a line longer
+# than several chunks; 2-, 3- and 4-byte delimiters; and "\r" before a
+# multi-byte break, which makes two line breaks.
 _BYTE_EDGES = [
     ("a,b\né,x\n日,y\n\U0001f600,z\n", ","),
     ("\ufeffa,b\r\nx,1\r\ny,2\r\n\r\n", ","),
     ("a,b\x85x,1\u2028y,é\u2029\U0001f600,2\x85", ","),
     ("a\tb\n" + "x" * 50 + "\t1\r\ny\t2\x0bz\t3\x1c", "\t"),
     ("a;b\n" + "日" * 20 + ";\U0001f600\n;1\n", ";"),
+    ("a·b\nx·1\r\x85y·2\n", "·"),
+    ("a€b\né€日\n\U0001f600€x\r\n", "€"),
+    ("a\U0001f600b\nx\U0001f600é\n日\U0001f600\U0001f600\n", "\U0001f600"),
+    ("a\r\u2028b\r\u2028\r\n", ","),
 ]
 
 
@@ -665,6 +670,47 @@ class TestReaderStreams:
         stream = stringio.StringIO("# notes\na,b\nx,1\n")
         stream.readline()
         assert read_delimited(stream) == _read("a,b\nx,1\n")
+
+
+class _BinaryStream(stringio.BytesIO):
+    """A binary stream that raises once it has been read at its end 100 times."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.reads_at_end = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.reads_at_end += not data
+        if self.reads_at_end > 100:
+            raise AssertionError("read on and on at the end of the stream")
+        return data
+
+
+class TestReaderStreamBytes:
+    """Text and binary streams, held as UTF-8 bytes and read like a pipe."""
+
+    @pytest.mark.parametrize("text, delimiter", _BYTE_EDGES)
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 1 << 20])
+    def test_binary_stream(self, text, delimiter, chunk_bytes):
+        expected = _outcome(lambda: read_delimited_reference(text, delimiter=delimiter))
+        with mock.patch.object(catci_io, "_CHUNK_BYTES", chunk_bytes):
+            got = _outcome(lambda: read_delimited(_BinaryStream(text.encode()), delimiter=delimiter))
+        assert got == expected
+
+    def test_binary_stream_ends(self):
+        assert read_delimited(_BinaryStream(b"a,b\nx,1\n")) == _read("a,b\nx,1\n")
+
+    def test_invalid_utf8_in_a_binary_stream(self):
+        with pytest.raises(DataError, match=r"^cannot read <stream>: invalid UTF-8 at byte 6$"):
+            read_delimited(_BinaryStream(b"a,b\nx,\xe6\x97,2\n"))
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 3, 1 << 20])
+    def test_lone_surrogate_in_a_text_stream(self, chunk_bytes):
+        with mock.patch.object(catci_io, "_CHUNK_BYTES", chunk_bytes):
+            with pytest.raises(DataError) as err:
+                _read("a,b\n\ud800,1\n")
+        assert str(err.value) == "cannot read <stream>: lone surrogate '\\ud800'"
 
 
 @st.composite
