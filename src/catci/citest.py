@@ -377,7 +377,9 @@ def batch_screen(
     chunk_size = max(1, math.ceil(len(pairs) / (workers * 4)))
     chunks = [pairs[i : i + chunk_size] for i in range(0, len(pairs), chunk_size)]
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_batch_init, initargs=(data, method, adjust_dof)
+        max_workers=min(workers, len(chunks)),
+        initializer=_batch_init,
+        initargs=(data, method, adjust_dof),
     ) as pool:
         results: list[TestResult] = []
         for chunk_result in pool.map(_batch_chunk, chunks):

@@ -6,8 +6,9 @@ not a line break (comma by default, no quoting — tokens must not contain
 the delimiter), first line an optional header.  Columns are factorized to
 0-based codes in first-appearance order.
 
-The reader streams its input.  It reads a file's bytes about
-``_CHUNK_BYTES`` at a time and decodes them as UTF-8, and carries each
+The reader streams its input and reads it once.  It reads the bytes of a
+file, a pipe or a binary stream (or a text stream's characters, as UTF-8)
+about ``_CHUNK_BYTES`` at a time and decodes them as UTF-8, and carries each
 chunk's last, partial line into the next.  A chunk's whole lines become one
 numpy array of code points (uint8 for ASCII, uint32 otherwise), whose
 delimiters and line breaks give the fields, which are checked.  Each
@@ -16,15 +17,13 @@ built one offset at a time; once the tokens still being read are few or
 long, they are sliced and finished as ``str`` dict keys instead.  The
 chunk's codes become the column's by a ``str`` lookup of its first tokens
 (in a mostly distinct column, by a merge of the labels that repeat, once at
-the end), and go straight into one int64 array per column, sized before the
-loop by a pass that counts line breaks.  Memory is the codes, the labels
-and one chunk's text and scratch (or one line's, where a line is longer):
-the text of a file that can seek is never held whole, and no array spans
-every line or field.  A stream, text or binary, or a file that cannot seek,
-is held as read, as UTF-8 bytes, while its line breaks are counted.
-Reading is linear in the file size.  The numpy path pays per code point, so
-its gain over splitting lines with ``str.split`` is largest for short
-tokens (scripts/reader_shapes.py).
+the end), kept per chunk in the narrowest unsigned dtype that holds the
+labels so far, and widened to one int64 array per column once, at the end.
+Memory is the codes, the labels and one chunk's text and scratch (or one
+line's, where a line is longer): no input is held whole, and no array
+spans every line or field.  Reading is linear in the input's size.  The
+numpy path pays per code point, so its gain over splitting lines with
+``str.split`` is largest for short tokens (scripts/reader_shapes.py).
 
 The generator is deterministic given (seed, config) via numpy's PCG64
 stream, so datasets are bit-reproducible across platforms.
@@ -34,12 +33,10 @@ from __future__ import annotations
 
 import codecs
 import math
-from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress, repeat
 from pathlib import Path
-from typing import IO, BinaryIO, Callable
+from typing import IO, Callable
 
 import numpy as np
 
@@ -474,63 +471,6 @@ class _Text:
         return piece
 
 
-def _byte_breaks(data: bytes | bytearray, sep: int, size: int | None = None) -> int:
-    """An upper bound on the line breaks in ``data[:size]``, a piece of a UTF-8 file.
-
-    Every line break is one of the bytes 0x0A..0x0D and 0x1C..0x1E, U+0085
-    (C2 85), U+2028 (E2 80 A8) or U+2029 (E2 80 A9).  Bytes up to 0x1E
-    other than the delimiter ``sep`` count, "\\r\\n" as one, and so does a
-    lead byte C2 or E2 that the end of the piece cuts off.
-    """
-    size = len(data) if size is None else size
-    chunk = np.frombuffer(data, np.uint8, size)
-    breaks = np.count_nonzero(chunk <= 0x1E)
-    if sep <= 0x1E:
-        breaks -= np.count_nonzero(chunk == sep)
-    if chunk.max() >= 0x80:
-        lead = np.flatnonzero(chunk[:-1] == 0xC2)
-        breaks += np.count_nonzero(chunk[lead + 1] == 0x85)
-        lead = np.flatnonzero(chunk[:-2] == 0xE2)
-        breaks += np.count_nonzero((chunk[lead + 1] == 0x80) & ((chunk[lead + 2] | 1) == 0xA9))
-        breaks += (chunk[-1] == 0xC2) + np.count_nonzero(chunk[-2:] == 0xE2)
-    if data.find(b"\r", 0, size) >= 0:
-        breaks -= data.count(b"\r\n", 0, size)
-    return int(breaks)
-
-
-def _line_bound(file: BinaryIO, sep: int) -> int:
-    """An upper bound on the lines of a UTF-8 file that can seek, from one pass over its bytes.
-
-    The file is left at its start.
-    """
-    buf = bytearray(_CHUNK_BYTES)
-    lines = 1
-    while size := file.readinto(buf):
-        lines += _byte_breaks(buf, sep, size)
-    file.seek(0)
-    return lines
-
-
-def _held(read: Callable[[int], bytes], sep: int) -> tuple[Callable[[int], bytes], int]:
-    """A read function that replays a source held as read, and an upper bound on its lines.
-
-    ``read(size)`` reads the source's UTF-8 bytes, returning ``b""`` at its
-    end, and ``sep`` is the delimiter.  The replay returns the next pieces
-    held, joined, of at least ``size`` bytes in all where so many are left.
-    """
-    held = deque(iter(partial(read, _CHUNK_BYTES), b""))
-    lines = 1 + sum(_byte_breaks(piece, sep) for piece in held)
-
-    def replay(size: int) -> bytes:
-        out = []
-        while held and size > 0:
-            out.append(held.popleft())
-            size -= len(out[-1])
-        return b"".join(out)
-
-    return replay, lines
-
-
 def _utf8(piece: str | bytes, name: str) -> bytes:
     """A piece of a text or binary stream as UTF-8 bytes; a lone surrogate raises DataError."""
     if isinstance(piece, bytes):
@@ -565,27 +505,29 @@ def _merge(labels: list[str]) -> tuple[np.ndarray, list[str]] | None:
 
 
 class _Column:
-    """One column's codes, written chunk by chunk into one array, and its labels.
+    """One column's codes, an array per chunk widened once at the end, and its labels.
 
     Each chunk's tokens are factorised on their own, and a chunk's first
     tokens, in order, are its tokens' first appearances.  Looking them up
     as ``str`` in the labels seen so far turns the chunk's codes into the
-    column's.  A column whose first chunk is more than half distinct (ids)
-    skips the lookup: each chunk's first tokens join the labels as they
-    are, and the labels that repeat are merged once, at the end
-    (:func:`_merge`).  Looking up nearly every token in a dict that grows to
-    hold them all would take 50-70% more time and some 33 MB more memory on
-    500k distinct ids or UUIDs (scripts/reader_shapes.py).
+    column's, kept in the narrowest unsigned dtype that holds every label
+    seen so far (one byte a row for up to 255 labels).  A column whose first
+    chunk is more than half distinct (ids) skips the lookup: each chunk's
+    first tokens join the labels as they are, and the labels that repeat are
+    merged once, at the end (:func:`_merge`).  Looking up nearly every token
+    in a dict that grows to hold them all would take 50-70% more time and
+    some 33 MB more memory on 500k distinct ids or UUIDs
+    (scripts/reader_shapes.py).
     """
 
-    def __init__(self, max_rows: int) -> None:
-        self.codes = np.empty(max_rows, dtype=np.int64)
+    def __init__(self) -> None:
+        self.chunks: list[np.ndarray] = []  # each chunk's codes
         self.labels: list[str] = []  # in order of first appearance, repeats until merged
         self.index: dict[str, int] | None = {}  # each label's code; None: merged at the end
 
-    def add(self, text: str, chars: np.ndarray, base: int, row: int,
+    def add(self, text: str, chars: np.ndarray, base: int,
             starts: np.ndarray, stops: np.ndarray) -> None:
-        """Read the tokens ``text[starts[k]:stops[k]]`` of rows ``row, row + 1, ...``."""
+        """Read the tokens ``text[starts[k]:stops[k]]`` of the next rows."""
         ids, first = _factorise(text, chars, base, starts, stops)
         tokens = _slices(text, starts[first], stops[first])
         known = len(self.labels)
@@ -600,17 +542,17 @@ class _Column:
             tokens = list(map(tokens.__getitem__, new.tolist()))
             self.index.update(zip(tokens, range(known, known + new.size)))
         self.labels += tokens
-        self.codes[row : row + ids.size] = lookup[ids]
+        self.chunks.append(np.take(lookup.astype(np.min_scalar_type(len(self.labels))), ids))
 
-    def column(self, name: str, n_rows: int) -> CategoricalColumn:
-        """The finished column of ``n_rows`` rows, which takes over the codes."""
-        codes, labels, merge = self.codes, self.labels, self.index is None
-        self.codes = self.labels = self.index = None
-        codes.resize(n_rows, refcheck=False)  # shrinks in place
+    def column(self, name: str) -> CategoricalColumn:
+        """The finished column, whose int64 codes join every chunk's."""
+        codes = np.concatenate(self.chunks, dtype=np.int64)
+        labels, merge = self.labels, self.index is None
+        self.chunks = self.labels = self.index = None
         merged = _merge(labels) if merge else None
         if merged is not None:
             remap, labels = merged
-            for lo in range(0, n_rows, _SLICE_BLOCK):
+            for lo in range(0, codes.size, _SLICE_BLOCK):
                 block = codes[lo : lo + _SLICE_BLOCK]
                 block[:] = remap[block]
         return CategoricalColumn._owning(name, codes, tuple(labels))
@@ -619,8 +561,7 @@ class _Column:
 class _Table:
     """The columns of the whole lines read so far, and their names."""
 
-    def __init__(self, max_lines: int, delimiter: str, has_header: bool) -> None:
-        self.max_rows = max_lines - has_header
+    def __init__(self, delimiter: str, has_header: bool) -> None:
         self.delimiter = delimiter
         self.has_header = has_header
         self.names: list[str] | None = None
@@ -641,7 +582,7 @@ class _Table:
         chars, base, sep = _alphabet(chars[: int(ends[-1])], top, self.delimiter)
         bounds, last_field, empty = _fields(chars, ends, sep)
         if not self.lines:
-            self.columns = [_Column(self.max_rows) for _ in range(int(last_field[0]) + 1)]
+            self.columns = [_Column() for _ in range(int(last_field[0]) + 1)]
         width = len(self.columns)
         error = _first_line_error(bounds, last_field, empty, width, self.lines)
         if error is not None:
@@ -652,11 +593,9 @@ class _Table:
             self.names = _slices(text, bounds[:width] + 1, bounds[1 : width + 1])
             first = width
         n = (bounds.size - 1 - first) // width
-        if self.rows + n > self.max_rows:
-            raise DataError("the input changed while it was read")
         if n:
             for field, column in enumerate(self.columns, start=first):
-                column.add(text, chars, base, self.rows, bounds[field:-1:width] + 1,
+                column.add(text, chars, base, bounds[field:-1:width] + 1,
                            bounds[field + 1 :: width])
         self.lines += ends.size
         self.rows += n
@@ -673,7 +612,7 @@ class _Table:
         if not self.rows:
             raise DataError("empty input: no data rows")
         return Dataset(n_rows=self.rows, columns=tuple(
-            column.column(name, self.rows) for column, name in zip(self.columns, names)))
+            column.column(name) for column, name in zip(self.columns, names)))
 
 
 def _read(text: _Text, table: _Table) -> Dataset:
@@ -711,29 +650,24 @@ def read_delimited(
     unreadable or empty input, ragged rows, empty fields (naming the first
     offending physical line) or a duplicate header name.
 
-    The input is streamed: a file's bytes are read about ``_CHUNK_BYTES``
-    at a time, and each chunk's whole lines are split, checked and
-    factorised column by column into one code array per column, sized by a
-    first pass that counts line breaks.  Memory is the codes, the labels
-    and one chunk's text and scratch (or one line's, where a line is
-    longer).  A stream, text or binary, is read from where it stands and
-    held as UTF-8 bytes while its line breaks are counted, as is a file
-    that cannot seek, such as a pipe; either is then read like a file.  A
-    text stream's lone surrogate is a DataError.  Time is linear in the
-    input's length (see the module docstring).
+    The input is streamed and read once, whatever it is: a file, a file
+    that cannot seek such as a pipe, or a text or binary stream, read from
+    where it stands (a text stream as UTF-8; its lone surrogate is a
+    DataError).  About ``_CHUNK_BYTES`` of it are read at a time, and each
+    chunk's whole lines are split, checked and factorised column by column
+    into narrow per-chunk codes, widened once to one int64 array per
+    column at the end.  Memory is the codes, the labels and one chunk's
+    text and scratch (or one line's, where a line is longer).  Time is
+    linear in the input's length (see the module docstring).
     """
     check_delimiter(delimiter)
+    table = _Table(delimiter, has_header)
     if hasattr(source, "read"):
         name = str(getattr(source, "name", "<stream>"))
-        read, max_lines = _held(lambda size: _utf8(source.read(size), name), ord(delimiter))
-        return _read(_Text(read, name), _Table(max_lines, delimiter, has_header))
+        return _read(_Text(lambda size: _utf8(source.read(size), name), name), table)
     try:
         with open(source, "rb") as file:
-            if file.seekable():
-                read, max_lines = file.read, _line_bound(file, ord(delimiter))
-            else:  # a pipe
-                read, max_lines = _held(file.read, ord(delimiter))
-            return _read(_Text(read, str(source)), _Table(max_lines, delimiter, has_header))
+            return _read(_Text(file.read, str(source)), table)
     except OSError as err:
         raise DataError(f"cannot read {source}: {err}") from err
 

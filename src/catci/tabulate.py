@@ -84,9 +84,19 @@ class OccupiedCells:
         """Dense ``(x, y, stratum)`` table of a one-table stack.
 
         It holds at most ``|X|·|Y|·n_rows`` cells.
+
+        Raises:
+            DataError: if the table would have more than 2²⁴ cells, the
+                limit of :func:`build_table`; nothing is allocated then.
         """
         dx, dy = self.dims_xy
-        dense = np.zeros(dx * dy * self.n_strata, dtype=np.int64)
+        n_cells = dx * dy * self.n_strata
+        if n_cells > _TABLE_CELLS:
+            raise DataError(
+                f"table with {n_cells} cells exceeds the {_TABLE_CELLS}-cell limit; "
+                "the closed form tabulates the occupied cells only"
+            )
+        dense = np.zeros(n_cells, dtype=np.int64)
         dense[self.x + dx * (self.y + dy * self.stratum)] = self.count
         return ContingencyTable(dims=(dx, dy, self.n_strata), total=self.total, dense=dense)
 
@@ -267,7 +277,8 @@ def occupied_cells(data: Dataset, x: int, y: int, cs: Sequence[int] = ()) -> Occ
     return cells
 
 
-# build_table allocates every cell of its table; beyond this many it refuses.
+# build_table and OccupiedCells.as_table allocate every cell of their table;
+# beyond this many they refuse.
 _TABLE_CELLS = 1 << 24
 
 

@@ -341,6 +341,30 @@ class TestCiTest:
         with pytest.raises(DataError, match="50 iterations"):
             ci_test(small_dataset, TestSpec(0, 1, (2,)), method="ipf")
 
+    def test_ipf_table_over_cell_cap_raises_before_allocating(self):
+        # 4097 x 4096 levels in one stratum: 2**24 + 4096 cells, 134 MB as int64.
+        codes = np.arange(4097)
+        data = Dataset(4097, (CategoricalColumn("x", 4097, codes),
+                              CategoricalColumn("y", 4096, codes % 4096)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"{4097 * 4096} cells exceeds the {2**24}-cell"):
+                ci_test(data, TestSpec(0, 1), method="ipf")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_ipf_table_at_cell_cap_is_fitted(self, rng):
+        data = make_dataset(rng, 300, (3, 4, 2))
+        spec = TestSpec(0, 1, (2,))
+        expected = ci_test(data, spec, method="ipf")
+        with mock.patch.object(tabulate, "_TABLE_CELLS", 24):
+            assert ci_test(data, spec, method="ipf") == expected
+        with mock.patch.object(tabulate, "_TABLE_CELLS", 23):
+            with pytest.raises(DataError, match="24 cells exceeds the 23-cell limit"):
+                ci_test(data, spec, method="ipf")
+
 
 def assert_matches_oracle(result, ref):
     assert result.g2 == pytest.approx(ref["g2"], rel=1e-9, abs=1e-9)
@@ -580,6 +604,32 @@ class TestBatchScreen:
         pairs = [TestSpec(0, 1), TestSpec(0, 0), TestSpec(1, 1)]
         with pytest.raises(SpecError, match="pair 1"):
             batch_screen(small_dataset, pairs)
+
+    def test_no_more_workers_than_chunks(self, rng):
+        # Three specs make three chunks; the pool must not start 500 workers.
+        data = make_dataset(rng, 200, (3, 3, 2))
+        pairs = [TestSpec(0, 1), TestSpec(0, 2), TestSpec(1, 2)]
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        with mock.patch.object(citest, "ProcessPoolExecutor", InProcessPool), \
+                mock.patch.dict(citest._WORKER):
+            got = batch_screen(data, pairs, workers=500)
+        assert started == [3]
+        assert got == batch_screen(data, pairs)
 
     def test_options_forwarded(self, rng):
         data = make_dataset(rng, 200, (3, 3, 2))

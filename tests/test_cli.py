@@ -209,6 +209,16 @@ class TestCmdTest:
         assert code == 3
         assert out == "" and "converge" in err
 
+    def test_ipf_table_over_cell_cap_is_data_error(self, tmp_path, capsys):
+        # 4097 x 4096 labels: a dense ipf table just over 2**24 cells.
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b\n" + "".join(f"x{i},y{i % 4096}\n" for i in range(4097)))
+        code, out, err = run_cli(
+            capsys, ["test", "--data", str(path), "--x", "a", "--y", "b", "--method", "ipf"]
+        )
+        assert code == 3
+        assert out == "" and f"error: table with {4097 * 4096} cells exceeds" in err
+
 
 class TestCmdBatch:
     def test_all_pairs_count(self, wide_file, capsys):

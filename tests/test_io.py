@@ -398,6 +398,27 @@ _CHUNK_EDGES = [
 ]
 
 
+def _one_digit_rows():
+    """A header and 1M rows of 5 one-digit fields: 10 MB of UTF-8."""
+    rng = np.random.default_rng(0)
+    line = np.empty((1_000_000, 10), dtype=np.uint8)
+    line[:, 0::2] = rng.integers(0, 4, (1_000_000, 5), dtype=np.uint8) + ord("0")
+    line[:, 1::2] = ord(",")
+    line[:, -1] = ord("\n")
+    return b"a,b,c,d,e\n" + line.tobytes()
+
+
+def _traced_beyond_codes(read):
+    """``read()``'s dataset, and its traced peak in bytes beyond the result's codes."""
+    tracemalloc.start()
+    try:
+        ds = read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ds, peak - sum(c.codes.nbytes for c in ds.columns)
+
+
 class TestReaderChunks:
     """The reader over chunks of a few bytes of whole lines, against the reference."""
 
@@ -470,27 +491,17 @@ class TestReaderChunks:
 
     def test_memory_is_the_text_the_codes_and_one_chunk(self, tmp_path):
         # 1M rows of 5 one-character fields: 10 MB of text and 40 MB of
-        # codes.  The reader streams the file: beyond the codes it holds one
-        # chunk's text and scratch, about 10 MB for 1 MiB chunks of 10-byte
-        # rows, and no copy of the codes.  Holding the text alone would be
-        # 10 MB more, and a whole-file array of field ends 40 MB.
-        rng = np.random.default_rng(0)
-        line = np.empty((1_000_000, 10), dtype=np.uint8)
-        line[:, 0::2] = rng.integers(0, 4, (1_000_000, 5), dtype=np.uint8) + ord("0")
-        line[:, 1::2] = ord(",")
-        line[:, -1] = ord("\n")
+        # codes.  The reader streams the file: while it reads, it holds one
+        # chunk's text and scratch and each chunk's codes in one byte a
+        # field, 5 MB in all, which the 40 MB of int64 codes made at the end
+        # outgrow.  Holding the text would be 10 MB more, and a whole-file
+        # array of field ends 40 MB.
         path = tmp_path / "long.csv"
-        path.write_bytes(b"a,b,c,d,e\n" + line.tobytes())
-        del line
-        tracemalloc.start()
-        try:
-            ds = read_delimited(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        codes = sum(c.codes.nbytes for c in ds.columns)
-        assert ds.n_rows == 1_000_000 and codes == 40_000_000
-        assert peak - codes < 12 * 1_000_000
+        path.write_bytes(_one_digit_rows())
+        ds, beyond = _traced_beyond_codes(lambda: read_delimited(path))
+        assert ds.n_rows == 1_000_000
+        assert sum(c.codes.nbytes for c in ds.columns) == 40_000_000
+        assert beyond < 4 * 1_000_000
         assert all(c.codes.flags.owndata for c in ds.columns)
 
 
@@ -560,14 +571,6 @@ class TestReaderFileChunks:
             got = _read_file_in_chunks(path, chunk_bytes)
             assert got == f"DataError: cannot read {path}: invalid UTF-8 at byte {offset}"
 
-    def test_codes_are_sized_by_a_first_pass(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        path.write_text("a,b\nx,1\ny,2\nz,3\n", encoding="utf-8")
-        with mock.patch.object(catci_io, "_line_bound", return_value=3):
-            with pytest.raises(DataError, match="changed while it was read"):
-                read_delimited(path)
-        assert read_delimited(path).n_rows == 3
-
     @given(case=_delimited_inputs(), chunk_bytes=st.integers(1, 48))
     @settings(max_examples=100)
     def test_same_dataset_or_same_error(self, tmp_path_factory, case, chunk_bytes):
@@ -577,15 +580,6 @@ class TestReaderFileChunks:
         kw = dict(delimiter=delimiter, has_header=has_header)
         expected = _outcome(lambda: read_delimited_reference(text, **kw))
         assert _read_file_in_chunks(path, chunk_bytes, **kw) == expected
-
-
-    def test_line_bound_counts_only_line_break_sequences(self):
-        # U+0085 shares its lead byte with U+0080..U+00BF, and U+2028 and
-        # U+2029 share theirs with U+2000..U+2FFF; only the breaks count.
-        text = "’,“\n–,€\x85£,°\u2028\u00a0,·\u2029•,\u2027\n\u0085é,x\n" * 10_000
-        data = text.encode()
-        assert len(data) < catci_io._CHUNK_BYTES
-        assert catci_io._line_bound(stringio.BytesIO(data), ord(",")) == 1 + len(text.splitlines())
 
 
 def _fill_pipe(path, data):
@@ -688,7 +682,7 @@ class _BinaryStream(stringio.BytesIO):
 
 
 class TestReaderStreamBytes:
-    """Text and binary streams, held as UTF-8 bytes and read like a pipe."""
+    """Text and binary streams, read a piece at a time like a pipe."""
 
     @pytest.mark.parametrize("text, delimiter", _BYTE_EDGES)
     @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 1 << 20])
@@ -711,6 +705,38 @@ class TestReaderStreamBytes:
             with pytest.raises(DataError) as err:
                 _read("a,b\n\ud800,1\n")
         assert str(err.value) == "cannot read <stream>: lone surrogate '\\ud800'"
+
+
+class TestReaderMemoryOfEverySource:
+    """Pipes and streams are read once, like a file: none is held whole."""
+
+    @pytest.mark.parametrize("source", ["bytes", "str", "pipe"])
+    def test_memory_is_the_codes_and_one_chunk(self, source):
+        # As for a file: 1M rows of 5 one-digit fields, 40 MB of codes, and
+        # beyond them only what one chunk needs.  Holding the input as read
+        # would be 10 MB more.
+        data = _one_digit_rows()
+        if source != "pipe":
+            stream = stringio.BytesIO(data) if source == "bytes" else stringio.StringIO(data.decode())
+            ds, beyond = _traced_beyond_codes(lambda: read_delimited(stream))
+        else:
+            if not os.path.isdir("/dev/fd"):
+                pytest.skip("needs /dev/fd")
+            r, w = os.pipe()
+
+            def write():
+                with open(w, "wb") as sink:
+                    sink.write(data)
+
+            writer = threading.Thread(target=write)
+            writer.start()
+            try:
+                ds, beyond = _traced_beyond_codes(lambda: read_delimited(f"/dev/fd/{r}"))
+            finally:
+                writer.join()
+                os.close(r)
+        assert ds.n_rows == 1_000_000
+        assert beyond < 4 * 1_000_000
 
 
 @st.composite
