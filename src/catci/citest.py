@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -332,21 +333,6 @@ def ci_test(
     return _run(data, [spec], method, adjust_dof)[0]
 
 
-# Worker-process state for batch screening: the dataset is shipped once per
-# worker through the pool initializer, not once per task.
-_WORKER: dict = {}
-
-
-def _batch_init(data: Dataset, method: str, adjust_dof: bool) -> None:
-    _WORKER["data"] = data
-    _WORKER["method"] = method
-    _WORKER["adjust_dof"] = adjust_dof
-
-
-def _batch_chunk(specs: list[TestSpec]) -> list[TestResult]:
-    return _run(_WORKER["data"], specs, _WORKER["method"], _WORKER["adjust_dof"])
-
-
 def batch_screen(
     data: Dataset,
     pairs: Sequence[TestSpec],
@@ -360,8 +346,9 @@ def batch_screen(
     Specs that share a conditioning set share one Z index, and their
     closed-form statistics are computed together (see :func:`_run`).
     Results are identical to standalone :func:`ci_test` calls regardless of
-    ``workers`` and of which specs are batched together; the pool only
-    distributes independent chunks of specs and reassembles them in order.
+    ``workers`` and of which specs are batched together: with ``workers``
+    above 1, capped at the number of specs and of CPUs, each thread runs
+    one chunk of consecutive specs on the shared read-only dataset.
     """
     _check_method(method)
     pairs = list(pairs)
@@ -371,17 +358,12 @@ def batch_screen(
         except SpecError as err:
             raise SpecError(f"pair {position}: {err}") from None
 
-    if workers <= 1 or len(pairs) <= 1:
+    workers = min(workers, len(pairs), os.cpu_count() or 1)
+    if workers <= 1:
         return _run(data, pairs, method, adjust_dof)
 
-    chunk_size = max(1, math.ceil(len(pairs) / (workers * 4)))
-    chunks = [pairs[i : i + chunk_size] for i in range(0, len(pairs), chunk_size)]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(chunks)),
-        initializer=_batch_init,
-        initargs=(data, method, adjust_dof),
-    ) as pool:
-        results: list[TestResult] = []
-        for chunk_result in pool.map(_batch_chunk, chunks):
-            results.extend(chunk_result)
-    return results
+    size = math.ceil(len(pairs) / workers)
+    chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(lambda chunk: _run(data, chunk, method, adjust_dof), chunks)
+        return [result for part in parts for result in part]

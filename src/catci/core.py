@@ -2,7 +2,8 @@
 
 Everything here is an immutable value object; the numerical work lives in
 :mod:`catci.tabulate`, :mod:`catci.citest` and :mod:`catci.loglinear`.
-All types are safe to share across concurrent workers.
+All types are safe to share across threads, such as the ones
+:func:`catci.citest.batch_screen` runs its chunks of specs on.
 """
 
 from __future__ import annotations

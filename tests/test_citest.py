@@ -605,16 +605,16 @@ class TestBatchScreen:
         with pytest.raises(SpecError, match="pair 1"):
             batch_screen(small_dataset, pairs)
 
-    def test_no_more_workers_than_chunks(self, rng):
-        # Three specs make three chunks; the pool must not start 500 workers.
+    def test_threads_capped_at_specs_and_cpus(self, rng):
+        # 500 workers on three specs and two CPUs start two threads; with an
+        # unknown CPU count the batch runs in the calling thread.
         data = make_dataset(rng, 200, (3, 3, 2))
         pairs = [TestSpec(0, 1), TestSpec(0, 2), TestSpec(1, 2)]
         started = []
 
         class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 started.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -625,11 +625,25 @@ class TestBatchScreen:
             def map(self, fn, chunks):
                 return map(fn, chunks)
 
-        with mock.patch.object(citest, "ProcessPoolExecutor", InProcessPool), \
-                mock.patch.dict(citest._WORKER):
-            got = batch_screen(data, pairs, workers=500)
-        assert started == [3]
-        assert got == batch_screen(data, pairs)
+        serial = batch_screen(data, pairs)
+        with mock.patch.object(citest, "ThreadPoolExecutor", InProcessPool):
+            with mock.patch("os.cpu_count", return_value=2):
+                assert batch_screen(data, pairs, workers=500) == serial
+            assert started == [2]
+            with mock.patch("os.cpu_count", return_value=None):
+                assert batch_screen(data, pairs, workers=500) == serial
+            assert started == [2]
+
+    def test_chunks_run_in_the_calling_process(self, rng):
+        # One contiguous chunk per thread, each computed by _run in this process.
+        data = make_dataset(rng, 300, (3,) * 6)
+        pairs = [TestSpec(i, j) for i, j in itertools.combinations(range(6), 2)]
+        serial = batch_screen(data, pairs)
+        with mock.patch("os.cpu_count", return_value=2), \
+                mock.patch.object(citest, "_run", wraps=citest._run) as run:
+            assert batch_screen(data, pairs, workers=2) == serial
+        chunks = sorted((call.args[1] for call in run.call_args_list), key=len, reverse=True)
+        assert chunks == [pairs[:8], pairs[8:]]
 
     def test_options_forwarded(self, rng):
         data = make_dataset(rng, 200, (3, 3, 2))
@@ -673,8 +687,8 @@ def screens(draw):
 
 
 class TestBatchedKernel:
-    """batch_screen stacks the pairs that share a conditioning set; each result
-    must equal the batch of one and the occupied-cells oracle."""
+    """batch_screen stacks the pairs that share a conditioning set; each result,
+    on one thread or two, must equal the batch of one and the occupied-cells oracle."""
 
     @pytest.mark.parametrize("span", [0, tabulate._BINCOUNT_SPAN, 1 << 40])
     @given(case=screens())
@@ -683,7 +697,9 @@ class TestBatchedKernel:
         with mock.patch.object(tabulate, "_BINCOUNT_SPAN", span):
             batch = batch_screen(data, specs)
             singles = [ci_test(data, s) for s in specs]
-        assert batch == singles
+            with mock.patch("os.cpu_count", return_value=2):
+                threaded = batch_screen(data, specs, workers=2)
+        assert batch == singles == threaded
         for spec, result in zip(specs, batch):
             assert_matches_oracle(result, ci_occupied_bruteforce(data, spec))
 
