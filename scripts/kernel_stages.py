@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
-"""Time the stages of one closed-form ci_test, for one or more source trees.
+"""Time the stages of the closed-form kernel, for one or more source trees.
 
-Per test it reports, in microseconds (medians over the calls of a process,
+Per call it reports, in microseconds (medians over the calls of a process,
 then over the processes of a tree):
 
-    ci_test       the whole call, untimed stages
+    call          the whole call, untimed stages
     strata_code   tabulate._strata_code: the Z code of the rows
     cells         the rest of tabulate.stacked_cells: counting the cells
     closed_form   citest._closed_form: marginals, terms and sums
-    log_sf        the two citest.log_sf_chisq calls
-    other         ci_test minus the four stages (validation, the result)
+    log_sf        citest._log_sf_lanes: the p-values, scalar or in lockstep
+    results       the rest of citest._results: building the TestResults
+    other         the rest of the timed call (validation, grouping)
 
-The stages are timed in separate calls from ``ci_test``, by wrappers
-swapped onto the module attributes, so their sum includes the wrappers'
-own cost.  The shapes:
+The stages are timed in separate calls from the untimed ones, by wrappers
+swapped onto the module attributes, so the stages and other of a call add
+up to more than call by the wrappers' own cost.  The shapes:
 
-    hc6 .. hc12   X3, Y4 and k four-level Z columns (the high_card_z workload)
-    z2, z2x4, z2x4x4   X3, Y4 with the paper's conditioning sets
+    hc6 .. hc12   one ci_test of X3, Y4 and k four-level Z columns (the
+                  high_card_z workload)
+    z2, z2x4, z2x4x4   one ci_test of X3, Y4 with the paper's conditioning sets
+    screen        one batch_screen group like pc_screen's: every pair of 29
+                  columns of 2, 3 and 4 levels given one 4-level column, 406
+                  tests (812 p-value lanes) a call
 
 All columns are drawn uniformly with a fixed seed.  Every tree runs in a
 fresh process, and the trees alternate, starting with a different one each
@@ -24,11 +29,16 @@ round.  Run from the root of a checkout, e.g. to compare with another
 checkout:
 
     python3 scripts/kernel_stages.py --src ../parent/src src --rounds 5
+    python3 scripts/kernel_stages.py --shapes screen --rows 10000 --calls 20
+
+A tree that predates citest._log_sf_lanes and citest._results times
+log_sf as its citest.log_sf_chisq calls and reports no results stage.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import subprocess
@@ -39,7 +49,8 @@ import numpy as np
 
 SHAPES = {f"hc{k}": (3, 4) + (4,) * k for k in range(6, 13)}
 SHAPES.update({"z2": (3, 4, 2), "z2x4": (3, 4, 2, 4), "z2x4x4": (3, 4, 2, 4, 4)})
-STAGES = ("ci_test", "strata_code", "cells", "closed_form", "log_sf", "other")
+SHAPES["screen"] = (3, 4, 2, 2, 3, 4, 4, 2, 3) * 3 + (3, 4, 4)
+STAGES = ("call", "strata_code", "cells", "closed_form", "log_sf", "results", "other")
 
 
 def _child(src: str, shape: str, rows: int, calls: int) -> None:
@@ -54,17 +65,27 @@ def _child(src: str, shape: str, rows: int, calls: int) -> None:
                           labels=tuple(map(str, range(d))))
         for j, d in enumerate(levels)
     ))
-    spec = TestSpec(0, 1, tuple(range(2, len(levels))))
+    if shape == "screen":
+        z = len(levels) - 1
+        specs = [TestSpec(x, y, (z,)) for x, y in itertools.combinations(range(z), 2)]
+
+        def kernel():
+            citest.batch_screen(data, specs)
+    else:
+        spec = TestSpec(0, 1, tuple(range(2, len(levels))))
+
+        def kernel():
+            citest.ci_test(data, spec)
 
     def run() -> int:
         start = perf_counter_ns()
-        citest.ci_test(data, spec)
+        kernel()
         return perf_counter_ns() - start
 
     run()
     whole = [run() for _ in range(calls)]
 
-    spent = dict.fromkeys(STAGES[1:5], 0)
+    spent = dict.fromkeys(STAGES[1:6], 0)
 
     def timed(module, name, stage):
         fn = getattr(module, name)
@@ -98,18 +119,31 @@ def _child(src: str, shape: str, rows: int, calls: int) -> None:
     timed(tabulate, "_strata_code", "strata_code")
     timed_generator(tabulate, "stacked_cells", "cells")
     timed(citest, "_closed_form", "closed_form")
-    timed(citest, "log_sf_chisq", "log_sf")
-    per_call = {stage: [] for stage in STAGES[1:5]}
+    # The p-values: one _log_sf_lanes call per group, or, in a tree without
+    # it, one log_sf_chisq call per p-value.
+    lockstep = hasattr(citest, "_log_sf_lanes")
+    timed(citest, "_log_sf_lanes" if lockstep else "log_sf_chisq", "log_sf")
+    if lockstep:
+        timed(citest, "_results", "results")
+    per_call = {stage: [] for stage in STAGES[1:]}
     for _ in range(calls):
         before = dict(spent)
-        citest.ci_test(data, spec)
-        for stage in per_call:
+        start = perf_counter_ns()
+        kernel()
+        per_call["other"].append(perf_counter_ns() - start)
+        for stage in STAGES[1:6]:
             per_call[stage].append(spent[stage] - before[stage])
-    # stacked_cells' time includes the _strata_code call it makes.
+    # stacked_cells' time includes the _strata_code call it makes, and
+    # _results' the _log_sf_lanes call; other is the rest of the same call.
     per_call["cells"] = [c - s for c, s in zip(per_call["cells"], per_call["strata_code"])]
+    if lockstep:
+        per_call["results"] = [r - p for r, p in zip(per_call["results"], per_call["log_sf"])]
+    per_call["other"] = [
+        total - sum(per_call[stage][i] for stage in STAGES[1:6])
+        for i, total in enumerate(per_call["other"])
+    ]
     row = {stage: statistics.median(ns) / 1e3 for stage, ns in per_call.items()}
-    row["ci_test"] = statistics.median(whole) / 1e3
-    row["other"] = row["ci_test"] - sum(row[stage] for stage in per_call)
+    row["call"] = statistics.median(whole) / 1e3
     print(json.dumps(row))
 
 
@@ -120,7 +154,7 @@ def main(argv=None) -> int:
     parser.add_argument("--shapes", nargs="+", choices=list(SHAPES), default=list(SHAPES))
     parser.add_argument("--rows", type=int, default=3000)
     parser.add_argument("--rounds", type=int, default=3, help="processes per shape and tree")
-    parser.add_argument("--calls", type=int, default=200, help="tests per process and mode")
+    parser.add_argument("--calls", type=int, default=200, help="calls per process and mode")
     parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:

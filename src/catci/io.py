@@ -63,6 +63,9 @@ _MAX_TABLE_ENTRIES = 1 << 28
 _STEP_TOKENS = 20
 _CODE_POINTS_PER_TOKEN = 40
 
+# _first_tokens searches this many tokens per id for the first token of each.
+_HEAD_TOKENS_PER_ID = 16
+
 # The reader reads about this many bytes (or a text stream's characters) at
 # a time and takes the whole lines among them, so the lines read at every
 # code-point offset stay in cache and the scratch stays small.
@@ -419,14 +422,36 @@ def _factorise(
         row_ids[order] = ids
         ids = row_ids
         del row_ids, order
-    first = np.full(n_ids, n, dtype=np.int64)
-    np.minimum.at(first, ids, np.arange(n))
+    first = _first_tokens(ids, n_ids)
     ranked = np.argsort(first)  # unused ids, first at n, come last
     firsts = first[ranked[: np.count_nonzero(first < n)]]
     rank = first  # reused: each id's rank
     rank[ranked] = np.arange(n_ids)
     del ranked
     return rank[ids], firsts
+
+
+def _first_tokens(ids: np.ndarray, n_ids: int) -> np.ndarray:
+    """Each id's first position in ``ids``, or ``ids.size`` for an id that never occurs.
+
+    Where ids are few they all occur, as a rule, among the first
+    ``_HEAD_TOKENS_PER_ID`` tokens per id: that head is searched, and the
+    rest only checked for ids it missed, about a third of the cost of
+    ``np.minimum.at`` over the rest.  That runs where ids are many, or
+    where the head misses one.
+    """
+    n = ids.size
+    first = np.full(n_ids, n, dtype=np.int64)
+    head = _HEAD_TOKENS_PER_ID * n_ids
+    if head < n:
+        values, index = np.unique(ids[:head], return_index=True)
+        first[values] = index
+        if np.take(first < n, ids[head:]).all():
+            return first
+    else:
+        head = 0
+    np.minimum.at(first, ids[head:], np.arange(head, n))
+    return first
 
 
 class _Text:

@@ -198,14 +198,14 @@ def stacked_cells(
 ) -> Iterator[tuple[list[int], OccupiedCells]]:
     """Tabulate many ``(x, y)`` pairs within the occupied strata of one ``cs``.
 
-    The Z code is built once (see :func:`_strata_code`), and ``z·|X| + x``
-    once per x column, so each pair costs one multiply-add and one count of
-    its distinct cells.  Many pairs share a Z compressed to at most
-    ``n_rows`` strata.  A single pair is counted on its full ``(z, x, y)``
-    code, with Z compressed first only if that code would pass
-    ``_MAX_CELLS``; its count already yields the occupied strata.  Pairs
-    with equal ``(|X|, |Y|)`` are stacked, each table's cell ids offset
-    past the previous one's.  A stack is yielded,
+    The Z code is built once (see :func:`_strata_code`), and
+    ``(z·|X| + x)·|Y|`` once per run of pairs with the same x and ``|Y|``,
+    so each pair costs one add and one count of its distinct cells.  Many
+    pairs share a Z compressed to at most ``n_rows`` strata.  A single pair
+    is counted on its full ``(z, x, y)`` code, with Z compressed first only
+    if that code would pass ``_MAX_CELLS``; its count already yields the
+    occupied strata.  Pairs with equal ``(|X|, |Y|)`` are stacked, each
+    table's cell ids offset past the previous one's.  A stack is yielded,
     with the positions of its pairs in ``pairs``, before it would hold more
     than ``_STACK_ROWS · n_rows`` cells, so the extra memory is O(n_rows)
     however many pairs share ``cs``.  Indices are assumed valid (see
@@ -219,17 +219,16 @@ def stacked_cells(
         ((x, y),) = pairs
         code, radix = _strata_code(data, cs, _MAX_CELLS // (columns[x].levels * columns[y].levels))
         order = [0]
-        zx_buf = code
-        buf = np.empty(n, dtype=np.int64) if code is None else code
+        zxy_buf = buf = np.empty(n, dtype=np.int64) if code is None else code
     else:
         code, radix = _strata_code(data, cs, n)
         order = sorted(
             range(len(pairs)),
             key=lambda i: (columns[pairs[i][0]].levels, columns[pairs[i][1]].levels, pairs[i][0]),
         )
-        zx_buf = None if code is None else np.empty(n, dtype=np.int64)
+        zxy_buf = np.empty(n, dtype=np.int64)
         buf = np.empty(n, dtype=np.int64)
-    last_x = None
+    last = None
     dims = (0, 0)
     positions: list[int] = []
     parts: list[np.ndarray] = []
@@ -238,15 +237,15 @@ def stacked_cells(
     for i in order:
         x, y = pairs[i]
         dx, dy = columns[x].levels, columns[y].levels
-        if x != last_x:
+        if (x, dy) != last:  # the pairs are sorted by (|X|, |Y|, x)
             if code is None:
-                zx = columns[x].codes
+                zxy = np.multiply(columns[x].codes, dy, out=zxy_buf)
             else:
-                zx = np.multiply(code, dx, out=zx_buf)
-                zx += columns[x].codes
-            last_x = x
-        np.multiply(zx, dy, out=buf)
-        buf += columns[y].codes
+                zxy = np.multiply(code, dx, out=zxy_buf)
+                zxy += columns[x].codes
+                zxy *= dy
+            last = (x, dy)
+        np.add(zxy, columns[y].codes, out=buf)
         space = radix * dx * dy
         index, count, _ = _count_distinct(buf, space)
         if parts and (

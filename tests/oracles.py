@@ -102,6 +102,37 @@ def log_sf_quadrature(stat, dof, dps=50):
         return float(log_scale + mp.log(integral))
 
 
+def temme_coefficients(lengths):
+    """Exact Taylor coefficients in η of Temme's C_k(η), the first ``lengths[k]`` of row k.
+
+    With η²/2 = μ - ln(1 + μ), μ = λ - 1: C_0 = 1/μ - 1/η, and C_k = C_{k-1}'/η
+    + s_k/μ with the constant s_k that cancels the pole at η = 0.  μ(η) comes
+    from Lagrange inversion of η = μ·r(μ)^½, r = 2(μ - ln(1 + μ))/μ², in
+    exact rational arithmetic.
+    """
+    from fractions import Fraction
+
+    deg = max(lengths) + 2 * len(lengths) + 1
+    r = [Fraction(2 * (-1) ** k, k + 2) for k in range(deg + 1)]
+
+    def power(alpha, top):  # r**alpha up to degree top (J. C. P. Miller)
+        p = [Fraction(1)] + [Fraction(0)] * top
+        for m in range(1, top + 1):
+            p[m] = sum(((alpha + 1) * k - m) * r[k] * p[m - k] for k in range(1, m + 1)) / m
+        return p
+
+    # μ = Σ b_n η^n with b_n = [μ^(n-1)] r^(-n/2) / n; then 1/μ = Σ inv[j] η^(j-1).
+    b = [Fraction(0)] + [power(Fraction(-n, 2), n - 1)[n - 1] / n for n in range(1, deg + 1)]
+    inv = [Fraction(1)]
+    for j in range(1, deg):
+        inv.append(-sum(b[i + 1] * inv[j - i] for i in range(1, j + 1)))
+    rows = [inv[1:]]
+    for _ in range(1, len(lengths)):
+        prev = rows[-1]
+        rows.append([(j + 2) * prev[j + 2] - prev[1] * inv[j + 1] for j in range(len(prev) - 2)])
+    return [row[:n] for row, n in zip(rows, lengths)]
+
+
 def ci_occupied_bruteforce(data, spec):
     """G², χ², dof, adjusted dof and empty strata of ``spec`` by dict loops.
 

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catci import citest, tabulate
@@ -23,7 +23,12 @@ from catci.loglinear import ipf_fit
 from catci.tabulate import build_table, expected_ci, slice_marginals, table_from_counts
 
 from conftest import make_dataset, permute_column_levels
-from oracles import ci_occupied_bruteforce, closed_form_unfolded, log_sf_quadrature
+from oracles import (
+    ci_occupied_bruteforce,
+    closed_form_unfolded,
+    log_sf_quadrature,
+    temme_coefficients,
+)
 
 # Frozen by hand: 2*(40*ln(20/25) + 60*ln(30/25)) for the table [[20,30],[30,20]]
 G2_CROSSED = 4.027102710137775
@@ -178,6 +183,80 @@ class TestLogSfChisq:
     )
     def test_strictly_decreasing_property(self, stat, gap, d):
         assert log_sf_chisq(stat + gap, d) < log_sf_chisq(stat, d)
+
+    @pytest.mark.parametrize("d", [10**9, 10**10, 10**15])
+    def test_huge_dof_is_finite(self, d):
+        values = [log_sf_chisq(r * d, d) for r in (1e-6, 0.5, 0.99, 1.0, 1.01, 2.0, 50.0)]
+        assert all(math.isfinite(v) and v <= 0.0 for v in values)
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_temme_band_takes_no_steps(self):
+        # Near x = a at large a the expansion answers alone, in O(1).
+        with mock.patch.object(citest, "_lower_series_sum") as series, \
+                mock.patch.object(citest, "_lentz") as cf:
+            for stat in (0.8e8, 1e8, 1.2e8):
+                assert math.isfinite(log_sf_chisq(stat, 10**8))
+        series.assert_not_called()
+        cf.assert_not_called()
+
+    def test_temme_coefficients_match_their_derivation(self):
+        exact = temme_coefficients([len(row) for row in citest._TEMME_C])
+        assert [[float(c) for c in row] for row in exact] == [list(row) for row in citest._TEMME_C]
+
+    @settings(max_examples=100)
+    @given(
+        log10_dof=st.floats(0.0, 15.0),
+        ratio=st.one_of(
+            st.floats(math.log(1e-6), math.log(50.0)).map(math.exp), st.floats(0.6, 1.5)
+        ),
+    )
+    def test_against_mpmath_over_the_domain(self, log10_dof, ratio):
+        # 1e-12 absolute in log p, relative where |log p| > 1.  The quadrature
+        # carries enough digits for a·ln(x) at dof 1e15.
+        d = max(1, round(10**log10_dof))
+        stat = ratio * d
+        got = log_sf_chisq(stat, d)
+        ref = log_sf_quadrature(stat, d, dps=30 + int(log10_dof))
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _lane_stats():
+    """(stat, dof) lanes over every route of log_sf_chisq."""
+    dofs = st.sampled_from([1, 2, 3, 7, 48, 192, 199, 200, 999, 5000, 10**6, 10**9, 10**15])
+    ratios = st.one_of(
+        st.floats(math.log(1e-6), math.log(50.0)).map(math.exp),
+        st.floats(0.6, 1.5),  # Temme's band and its edges at large dof
+        st.sampled_from([0.0, math.inf]),
+    )
+    return st.tuples(ratios, dofs).map(lambda rd: (rd[0] * rd[1], rd[1]))
+
+
+class TestLogSfLanes:
+    """The lockstep tail is == to the scalar one, lane by lane, whatever else is in the batch."""
+
+    @pytest.mark.parametrize("crossover", [1, citest._LOCKSTEP_LANES])
+    @given(lanes=st.lists(_lane_stats(), max_size=3 * citest._LOCKSTEP_LANES))
+    def test_equals_scalar(self, crossover, lanes):
+        stats = [s for s, _ in lanes]
+        dofs = [d for _, d in lanes]
+        with mock.patch.object(citest, "_LOCKSTEP_LANES", crossover):
+            got = citest._log_sf_lanes(stats, dofs)
+        want = [log_sf_chisq(s, d) for s, d in lanes]
+        assert got == want
+        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
+    def test_steps_in_lockstep_above_the_crossover(self):
+        rng = np.random.default_rng(5)
+        dofs = rng.choice([4, 12, 48, 192], size=4 * citest._LOCKSTEP_LANES).tolist()
+        stats = (rng.uniform(0.2, 3.0, size=len(dofs)) * dofs).tolist()
+        with (
+            mock.patch.object(citest, "_lower_series_sums", wraps=citest._lower_series_sums) as series,
+            mock.patch.object(citest, "_upper_cfs", wraps=citest._upper_cfs) as cf,
+            mock.patch.object(citest, "log_sf_chisq", wraps=citest.log_sf_chisq) as scalar,
+        ):
+            got = citest._log_sf_lanes(stats, dofs)
+        assert series.called and cf.called and not scalar.called
+        assert got == [log_sf_chisq(s, d) for s, d in zip(stats, dofs)]
 
 
 def _perfectly_dependent_dataset(n_per_level=100):
@@ -644,6 +723,34 @@ class TestBatchScreen:
             assert batch_screen(data, pairs, workers=2) == serial
         chunks = sorted((call.args[1] for call in run.call_args_list), key=len, reverse=True)
         assert chunks == [pairs[:8], pairs[8:]]
+
+    def test_ipf_runs_in_the_calling_thread(self, rng):
+        data = make_dataset(rng, 300, (3, 3, 2, 2))
+        pairs = [TestSpec(0, 1, (2,)), TestSpec(0, 1, (2, 3)), TestSpec(1, 2, (3,))]
+
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError("ipf started a thread pool")
+
+        serial = batch_screen(data, pairs, method="ipf")
+        with mock.patch.object(citest, "ThreadPoolExecutor", NoPool), \
+                mock.patch("os.cpu_count", return_value=2):
+            assert batch_screen(data, pairs, workers=2, method="ipf") == serial
+
+    def test_groups_above_the_crossover_equal_single_tests(self, rng):
+        # Each conditioning set holds more lanes than _LOCKSTEP_LANES, so its
+        # p-values come from the lockstep tail; a single test's from the scalar one.
+        data = make_dataset(rng, 500, (2, 3, 4) * 4)
+        pairs = [
+            TestSpec(x, y, cs)
+            for cs in ((), (3,), (5, 9))
+            for x, y in itertools.combinations([c for c in range(12) if c not in cs], 2)
+        ]
+        assert 2 * len(pairs) // 3 > citest._LOCKSTEP_LANES
+        with mock.patch.object(citest, "_upper_cfs", wraps=citest._upper_cfs) as cf:
+            batch = batch_screen(data, pairs)
+        assert cf.call_count == 3
+        assert batch == [ci_test(data, s) for s in pairs]
 
     def test_options_forwarded(self, rng):
         data = make_dataset(rng, 200, (3, 3, 2))
