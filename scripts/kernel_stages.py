@@ -30,9 +30,6 @@ checkout:
 
     python3 scripts/kernel_stages.py --src ../parent/src src --rounds 5
     python3 scripts/kernel_stages.py --shapes screen --rows 10000 --calls 20
-
-A tree that predates citest._log_sf_lanes and citest._results times
-log_sf as its citest.log_sf_chisq calls and reports no results stage.
 """
 
 from __future__ import annotations
@@ -119,12 +116,8 @@ def _child(src: str, shape: str, rows: int, calls: int) -> None:
     timed(tabulate, "_strata_code", "strata_code")
     timed_generator(tabulate, "stacked_cells", "cells")
     timed(citest, "_closed_form", "closed_form")
-    # The p-values: one _log_sf_lanes call per group, or, in a tree without
-    # it, one log_sf_chisq call per p-value.
-    lockstep = hasattr(citest, "_log_sf_lanes")
-    timed(citest, "_log_sf_lanes" if lockstep else "log_sf_chisq", "log_sf")
-    if lockstep:
-        timed(citest, "_results", "results")
+    timed(citest, "_log_sf_lanes", "log_sf")
+    timed(citest, "_results", "results")
     per_call = {stage: [] for stage in STAGES[1:]}
     for _ in range(calls):
         before = dict(spent)
@@ -136,8 +129,7 @@ def _child(src: str, shape: str, rows: int, calls: int) -> None:
     # stacked_cells' time includes the _strata_code call it makes, and
     # _results' the _log_sf_lanes call; other is the rest of the same call.
     per_call["cells"] = [c - s for c, s in zip(per_call["cells"], per_call["strata_code"])]
-    if lockstep:
-        per_call["results"] = [r - p for r, p in zip(per_call["results"], per_call["log_sf"])]
+    per_call["results"] = [r - p for r, p in zip(per_call["results"], per_call["log_sf"])]
     per_call["other"] = [
         total - sum(per_call[stage][i] for stage in STAGES[1:6])
         for i, total in enumerate(per_call["other"])

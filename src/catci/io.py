@@ -15,10 +15,10 @@ delimiters and line breaks give the fields, which are checked.  Each
 column's tokens are factorised by a mixed-radix code over their code points
 built one offset at a time; once the tokens still being read are few or
 long, they are sliced and finished as ``str`` dict keys instead.  The
-chunk's codes become the column's by a ``str`` lookup of its first tokens
-(in a mostly distinct column, by a merge of the labels that repeat, once at
-the end), kept per chunk in the narrowest unsigned dtype that holds the
-labels so far, and widened to one int64 array per column once, at the end.
+chunk's ids become the column's codes by a ``str`` lookup of each id's
+first token (or, in a mostly distinct column, by one merge of the
+repeated labels at the end), kept per chunk in the narrowest unsigned
+dtype that holds the labels so far, and widened once to int64.
 Memory is the codes, the labels and one chunk's text and scratch (or one
 line's, where a line is longer): no input is held whole, and no array
 spans every line or field.  Reading is linear in the input's size.  The
@@ -112,22 +112,17 @@ class GenConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-def _draw_categories(prob_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw per row from that row's probability vector."""
-    u = rng.random(prob_rows.shape[0])
-    cdf = np.cumsum(prob_rows, axis=1)
-    draw = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(draw, prob_rows.shape[1] - 1).astype(np.int64)
+def _draw_categories(cdf: np.ndarray, strata: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw per row from its stratum's row of ``cdf``, cumulative probabilities."""
+    u = rng.random(strata.size)
+    draw = (u[:, None] > cdf[strata]).sum(axis=1)
+    return np.minimum(draw, cdf.shape[1] - 1).astype(np.int64)
 
 
 def _first_appearance_map(codes: np.ndarray, levels: int) -> np.ndarray:
-    """Bijection on level codes sending first-appearance order to 0,1,2,..."""
-    values, first_pos = np.unique(codes, return_index=True)
-    by_appearance = values[np.argsort(first_pos)]
-    mapping = np.full(levels, -1, dtype=np.int64)
-    mapping[by_appearance] = np.arange(by_appearance.size)
-    unseen = np.flatnonzero(mapping < 0)
-    mapping[unseen] = np.arange(by_appearance.size, levels)
+    """Bijection on level codes sending first-appearance order to 0,1,2,..., unseen codes last."""
+    mapping = np.empty(levels, dtype=np.int64)
+    mapping[np.argsort(_first_tokens(codes, levels), kind="stable")] = np.arange(levels)
     return mapping
 
 
@@ -164,8 +159,9 @@ def generate(config: GenConfig) -> Dataset:
     p_y = rng.random((n_slices, dy))
     p_y /= p_y.sum(axis=1, keepdims=True)
 
-    x = _draw_categories(p_x[z_index], rng)
-    y = _draw_categories(p_y[z_index], rng)
+    # Each stratum's cumulative probabilities, summed in place.
+    x = _draw_categories(np.cumsum(p_x, axis=1, out=p_x), z_index, rng)
+    y = _draw_categories(np.cumsum(p_y, axis=1, out=p_y), z_index, rng)
     if config.dependence == "dependent":
         forced = rng.random(n) < DEPENDENT_MIX_WEIGHT
         y = np.where(forced, x % dy, y)
@@ -353,28 +349,28 @@ def _reads_as_str(n: int, steps: int, code_points: int) -> bool:
 
 def _factorise(
     text: str, chars: np.ndarray, base: int, starts: np.ndarray, stops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, int]:
     """Factorise the non-empty tokens ``text[starts[k]:stops[k]]``.
 
     ``chars`` holds the code points of ``text`` as numbers below ``base``.
-    Returns each token's code, in first-appearance order, and each code's
-    first token.  The tokens are ordered longest first, so the tokens longer
-    than ``i`` are always a prefix.  At each offset ``i`` they extend a
-    mixed-radix code by their code point at ``i``, re-compressed to its
-    distinct values before its radix outgrows a bincount over them.  Tokens
-    that end at ``i`` take ids past those of shorter tokens, so equal ids
-    mean equal tokens, and the work at ``i`` touches only the tokens longer
-    than ``i``: O(code points) in all.  Once those tokens all have distinct
-    codes they are done; once they are few or long enough that slicing them
-    as ``str`` costs less than the steps left (:func:`_reads_as_str`), they
-    are finished as dict keys.
+    Returns each token's id and a bound on the ids, at most the number of
+    tokens: two tokens have the same id exactly when they are equal, and
+    some ids below the bound may go unused.  The tokens are ordered longest
+    first, so the tokens longer than ``i`` are always a prefix.  At each
+    offset ``i`` they extend a mixed-radix code by their code point at
+    ``i``, re-compressed to its distinct values before its radix outgrows a
+    bincount over them.  Tokens that end at ``i`` take ids past those of
+    shorter tokens, so equal ids mean equal tokens, and the work at ``i``
+    touches only the tokens longer than ``i``: O(code points) in all.  Once
+    those tokens all have distinct codes they are done; once they are few
+    or long enough that slicing them as ``str`` costs less than the steps
+    left (:func:`_reads_as_str`), they are finished as dict keys.
     """
     n = starts.size
     lengths = stops - starts
     longest = int(lengths.max())
     if _reads_as_str(n, longest, int(lengths.sum())):
-        ids, _ = _str_ids(text, starts, stops)  # already in first-appearance order
-        return ids, np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))
+        return _str_ids(text, starts, stops)
     if int(lengths.min()) == longest:
         order = None
         longer = np.zeros(longest + 1, dtype=np.int64)
@@ -422,23 +418,18 @@ def _factorise(
         row_ids[order] = ids
         ids = row_ids
         del row_ids, order
-    first = _first_tokens(ids, n_ids)
-    ranked = np.argsort(first)  # unused ids, first at n, come last
-    firsts = first[ranked[: np.count_nonzero(first < n)]]
-    rank = first  # reused: each id's rank
-    rank[ranked] = np.arange(n_ids)
-    del ranked
-    return rank[ids], firsts
+    return ids, n_ids
 
 
 def _first_tokens(ids: np.ndarray, n_ids: int) -> np.ndarray:
     """Each id's first position in ``ids``, or ``ids.size`` for an id that never occurs.
 
-    Where ids are few they all occur, as a rule, among the first
-    ``_HEAD_TOKENS_PER_ID`` tokens per id: that head is searched, and the
-    rest only checked for ids it missed, about a third of the cost of
-    ``np.minimum.at`` over the rest.  That runs where ids are many, or
-    where the head misses one.
+    It alone gives first-appearance order: of a chunk's token ids in
+    :class:`_Column` and of :func:`generate`'s codes.  Where ids are few
+    they all occur, as a rule, among the first ``_HEAD_TOKENS_PER_ID``
+    tokens per id: that head is searched, and the rest only checked for ids
+    it missed, about a third of the cost of ``np.minimum.at`` over the
+    rest.  That runs where ids are many, or where the head misses one.
     """
     n = ids.size
     first = np.full(n_ids, n, dtype=np.int64)
@@ -532,13 +523,15 @@ def _merge(labels: list[str]) -> tuple[np.ndarray, list[str]] | None:
 class _Column:
     """One column's codes, an array per chunk widened once at the end, and its labels.
 
-    Each chunk's tokens are factorised on their own, and a chunk's first
-    tokens, in order, are its tokens' first appearances.  Looking them up
-    as ``str`` in the labels seen so far turns the chunk's codes into the
-    column's, kept in the narrowest unsigned dtype that holds every label
-    seen so far (one byte a row for up to 255 labels).  A column whose first
-    chunk is more than half distinct (ids) skips the lookup: each chunk's
-    first tokens join the labels as they are, and the labels that repeat are
+    Each chunk's tokens are factorised on their own into ids, and the ids,
+    ordered by their first tokens (:func:`_first_tokens`), give the chunk's
+    labels in first-appearance order.  Looking up those first tokens as
+    ``str`` in the labels seen so far gives a table from the chunk's ids to
+    the column's codes, kept in the narrowest unsigned dtype that holds
+    every label seen so far (one byte a row for up to 255 labels), through
+    which the chunk's ids are mapped once.  A column whose first chunk is
+    more than half distinct (ids) skips the lookup: each chunk's first
+    tokens join the labels as they are, and the labels that repeat are
     merged once, at the end (:func:`_merge`).  Looking up nearly every token
     in a dict that grows to hold them all would take 50-70% more time and
     some 33 MB more memory on 500k distinct ids or UUIDs
@@ -553,21 +546,25 @@ class _Column:
     def add(self, text: str, chars: np.ndarray, base: int,
             starts: np.ndarray, stops: np.ndarray) -> None:
         """Read the tokens ``text[starts[k]:stops[k]]`` of the next rows."""
-        ids, first = _factorise(text, chars, base, starts, stops)
-        tokens = _slices(text, starts[first], stops[first])
+        ids, n_ids = _factorise(text, chars, base, starts, stops)
+        first = _first_tokens(ids, n_ids)
+        seen = np.argsort(first)[: np.count_nonzero(first < ids.size)]  # ids by first token
+        tokens = _slices(text, starts[first[seen]], stops[first[seen]])
         known = len(self.labels)
         if not known and 2 * len(tokens) > ids.size:
             self.index = None
         if self.index is None:
-            lookup = np.arange(known, known + len(tokens))
+            codes = np.arange(known, known + len(tokens))
         else:
-            lookup = np.fromiter(map(self.index.get, tokens, repeat(-1)), np.int64, len(tokens))
-            new = np.flatnonzero(lookup < 0)
-            lookup[new] = np.arange(known, known + new.size)
+            codes = np.fromiter(map(self.index.get, tokens, repeat(-1)), np.int64, len(tokens))
+            new = np.flatnonzero(codes < 0)
+            codes[new] = np.arange(known, known + new.size)
             tokens = list(map(tokens.__getitem__, new.tolist()))
             self.index.update(zip(tokens, range(known, known + new.size)))
         self.labels += tokens
-        self.chunks.append(np.take(lookup.astype(np.min_scalar_type(len(self.labels))), ids))
+        lookup = np.zeros(n_ids, dtype=np.min_scalar_type(len(self.labels)))  # unused ids: 0
+        lookup[seen] = codes
+        self.chunks.append(np.take(lookup, ids))
 
     def column(self, name: str) -> CategoricalColumn:
         """The finished column, whose int64 codes join every chunk's."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +67,21 @@ def _model_dof_cached(dims: tuple[int, ...], classes: tuple[tuple[int, ...], ...
     return math.prod(dims) - params
 
 
+# Cells per block of the Pearson sum: its terms become Python floats a block
+# at a time, never a table's worth at once.
+_BLOCK_CELLS = 1 << 16
+
+
+def _pearson_blocks(observed: np.ndarray, fitted: np.ndarray):
+    """(observed - fitted)² / fitted where the fitted mean is positive, as one list per block."""
+    for lo in range(0, fitted.size, _BLOCK_CELLS):
+        block = fitted[lo : lo + _BLOCK_CELLS]
+        positive = block > 0
+        expected = block[positive]
+        diff = observed[lo : lo + _BLOCK_CELLS][positive] - expected
+        yield (diff * diff / expected).tolist()
+
+
 def ipf_fit(
     table: ContingencyTable,
     model: LogLinearModel,
@@ -79,6 +94,8 @@ def ipf_fit(
     zero are pinned to zero first) and rescales per generating class until
     the largest absolute margin discrepancy drops below ``tol``.  On
     non-convergence the partial fit is returned with ``converged=False``.
+    Besides ``table`` the fit holds one float64 array of the fitted means;
+    only a class that holds every variable adds more arrays of that size.
     """
     if model.n_vars != len(table.dims):
         raise ValueError(
@@ -89,28 +106,25 @@ def ipf_fit(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    observed = table.dense.reshape(table.dims, order="F").astype(np.float64)
-    m = observed.ndim
+    counts = table.as_array()
+    m = counts.ndim
     classes = model.generating_classes
     complements = [tuple(i for i in range(m) if i not in cls) for cls in classes]
-    obs_margins = [
-        observed.sum(axis=comp, keepdims=True) if comp else observed
-        for comp in complements
-    ]
+    # Summed as float64, exactly: counts and their sums are integers below 2⁵³.
+    obs_margins = [counts.sum(axis=comp, keepdims=True, dtype=np.float64) for comp in complements]
 
-    fitted = np.ones_like(observed)
+    fitted = np.ones(counts.shape, order="F")
     for margin in obs_margins:
-        fitted = fitted * (margin > 0)
+        fitted *= margin > 0
 
     iterations = 0
     converged = False
     for _ in range(max_iter):
         for comp, margin in zip(complements, obs_margins):
             fit_margin = fitted.sum(axis=comp, keepdims=True) if comp else fitted
-            ratio = np.divide(
+            fitted *= np.divide(
                 margin, fit_margin, out=np.zeros_like(margin), where=fit_margin > 0
             )
-            fitted = fitted * ratio
         iterations += 1
         discrepancy = 0.0
         for comp, margin in zip(complements, obs_margins):
@@ -120,14 +134,15 @@ def ipf_fit(
             converged = True
             break
 
-    occupied = observed > 0
-    if np.any(fitted[occupied] <= 0):
+    # Over the flat cells: the deviance over the occupied ones (at most one a
+    # row), the Pearson sum a block at a time, so neither copies the table.
+    flat = fitted.reshape(-1, order="F")
+    occupied = np.flatnonzero(table.dense)
+    observed, expected = table.dense[occupied], flat[occupied]
+    if np.any(expected <= 0):
         raise DataError("fitted mean vanished at an occupied cell; model margins are inconsistent")
-    dev_terms = 2.0 * observed[occupied] * np.log(observed[occupied] / fitted[occupied])
-    deviance = max(0.0, math.fsum(dev_terms))
-    positive = fitted > 0
-    diff = observed[positive] - fitted[positive]
-    pearson = math.fsum(diff * diff / fitted[positive])
+    deviance = max(0.0, math.fsum(2.0 * observed * np.log(observed / expected)))
+    pearson = math.fsum(chain.from_iterable(_pearson_blocks(table.dense, flat)))
 
     fitted.setflags(write=False)
     return FitResult(

@@ -884,11 +884,37 @@ class TestGenerate:
 
     def test_random_stream_pinned(self):
         # Frozen from the generator: benchmark and acceptance seeds rely on it.
-        d = generate(GenConfig(n=1000, levels=(3, 4, 2, 4, 4), dependence="dependent", seed=7))
-        codes = np.stack([c.codes for c in d.columns]).tobytes()
-        assert hashlib.sha256(codes).hexdigest() == (
-            "91c1a59b491d12c583d249d5ee9cc0ac6378e2494898be8f8018aad16195a6cf"
-        )
+        # The second config leaves levels unseen; the others realise every level.
+        pinned = [
+            (GenConfig(n=1000, levels=(3, 4, 2, 4, 4), dependence="dependent", seed=7),
+             "91c1a59b491d12c583d249d5ee9cc0ac6378e2494898be8f8018aad16195a6cf"),
+            (GenConfig(n=5, levels=(7, 9, 6), seed=3),
+             "051d0854b9ac5ea15ea447b70e18fa3ce11c0de095f977d28b45ee7be838b1b7"),
+            (GenConfig(n=10_000, levels=(3, 4, 2, 4, 4), seed=11),
+             "2008672070ff378e08e6d954fd8dfa6be9469eb1b22aa2f1e0bcbeeeddd4a2df"),
+            (GenConfig(n=125_000, levels=(3, 4, 2, 4, 4), dependence="dependent", seed=5),
+             "7cf8559aef8c0af3be2f89b0be3b182bd5417f0b11fc15f91bb2679975c64184"),
+        ]
+        for config, digest in pinned:
+            d = generate(config)
+            codes = np.stack([c.codes for c in d.columns]).tobytes()
+            assert hashlib.sha256(codes).hexdigest() == digest, config
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 400), st.integers(0, 2**32 - 1), st.booleans())
+    def test_first_appearance_map_against_brute_force(self, levels, n, seed, late):
+        # Codes drawn from the lower levels leave the others unseen; n on both
+        # sides of 16 per level runs both branches of _first_tokens, and a
+        # level first seen at the end is one that its head search misses.
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, rng.integers(1, levels + 1), size=n)
+        if late and n:
+            codes[-1] = levels - 1
+        order = list(dict.fromkeys(codes.tolist()))
+        order += [c for c in range(levels) if c not in order]
+        expected = np.empty(levels, dtype=np.int64)
+        expected[order] = np.arange(levels)
+        np.testing.assert_array_equal(catci_io._first_appearance_map(codes, levels), expected)
 
     def test_seed_changes_data(self):
         a = generate(GenConfig(n=500, levels=(3, 4, 2), seed=1))

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catci.citest import chi2_statistic, g2_statistic
-from catci.core import DataError, LogLinearModel
+from catci.citest import chi2_statistic, ci_test, g2_statistic
+from catci.core import CategoricalColumn, DataError, Dataset, LogLinearModel, TestSpec
 from catci.loglinear import ci_model, ipf_fit, model_dof, saturated_model
 from catci.tabulate import expected_ci, slice_marginals, table_from_counts
 
@@ -153,3 +154,23 @@ class TestIpfFit:
         fit = ipf_fit(t, ci_model(1))
         assert np.all(fit.fitted >= 0)
         assert fit.fitted.sum() == pytest.approx(total, rel=1e-9)
+
+    def test_ipf_route_holds_the_table_and_the_fit_only(self):
+        # Two columns of 2048 distinct levels fill a 2048 x 2048 table, which
+        # the Pearson sum crosses in many blocks.  The ipf route holds the
+        # int64 table and the float64 fitted means, and no other array of
+        # that size: no float copy of the table and no table-sized masks.
+        levels = 2048
+        rng = np.random.default_rng(0)
+        data = Dataset(levels, tuple(
+            CategoricalColumn(f"V{j}", levels, rng.permutation(levels)) for j in range(2)))
+        tracemalloc.start()
+        try:
+            result = ci_test(data, TestSpec(0, 1, ()), method="ipf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * levels * levels * 8
+        closed = ci_test(data, TestSpec(0, 1, ()))
+        assert result.chi2 == closed.chi2 == levels * (levels - 1)
+        assert result.g2 == pytest.approx(closed.g2, rel=1e-8)
