@@ -13,11 +13,11 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .citest import ci_test
+from .citest import _ROUTES, ci_test
 from .core import TestSpec
 from .io import GenConfig, generate
 
-_METHODS = ("closed_form", "ipf")
+_METHODS = tuple(_ROUTES)
 _BASELINE = "closed_form"
 
 
@@ -36,7 +36,7 @@ class BenchConfig:
     sample_sizes: tuple[int, ...] = (3000, 5000, 10000)
     scenarios: tuple[tuple[int, ...], ...] = ((3, 4, 2), (3, 4, 2, 4), (3, 4, 2, 4, 4))
     repetitions: int = 50
-    methods: tuple[str, ...] = ("closed_form", "ipf")
+    methods: tuple[str, ...] = _METHODS
     seed: int = 0
 
     def __post_init__(self) -> None:

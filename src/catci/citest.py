@@ -1,12 +1,12 @@
 """G² and χ² conditional independence tests with log-scale p-values.
 
-The closed-form route tabulates (x, y) within the occupied strata of
-z_1..z_k in one pass, derives the slice marginals from the occupied cells
-and sums the statistics over those cells alone; pairs that share z_1..z_k
-share its index and one vectorised pass over their stacked cells, and a
-single test is the batch of one.  The ipf route fits the
-conditional-independence log-linear model to the same compressed table
-instead.  Both agree to floating precision.
+Tests that share z_1..z_k share its index: their (x, y) tables are
+tabulated within its occupied strata in one pass and stacked, and a single
+test is the batch of one.  The routes differ only in a stack's statistics.
+The closed form sums them over the occupied cells alone, from slice
+marginals derived from those cells, in one vectorised pass; the ipf route
+fits the conditional-independence log-linear model to each table.  Both
+agree to floating precision.
 
 P-values are carried in natural-log scale throughout: mass screening
 multiplies tiny tail probabilities far past linear underflow.  Statistic
@@ -436,6 +436,30 @@ def _closed_form(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
     return [(max(0.0, math.fsum(g)), max(0.0, math.fsum(c) - cells.total)) for g, c in tables]
 
 
+def _ipf(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
+    """Deviance and Pearson statistic of the CI model fitted to each table of a stack.
+
+    Both classes of the model contain Z, so fitting over the occupied strata
+    alone leaves the fit unchanged.  A stack with one X or one Y level
+    yields zeros unfitted; a fit that does not converge is a ``DataError``.
+    """
+    n_tables = len(cells.bounds) - 1
+    if 1 in cells.dims_xy:
+        return [(0.0, 0.0)] * n_tables
+    model = loglinear.ci_model(1)
+    stats = []
+    for k in range(n_tables):
+        fit = loglinear.ipf_fit(cells.as_table(k), model)
+        if not fit.converged:
+            raise DataError(f"ipf fit did not converge within {fit.iterations} iterations")
+        stats.append((fit.deviance, fit.pearson))
+    return stats
+
+
+# The statistic of each method, computed for every table of a stack.
+_ROUTES = {"closed_form": _closed_form, "ipf": _ipf}
+
+
 def _results(
     tables: list[tuple[tuple[int, int], int, tuple[float, float]]],
     strata_nominal: int,
@@ -444,7 +468,8 @@ def _results(
 ) -> list[TestResult]:
     """The ``TestResult`` of each table, given as its shape, strata and statistics.
 
-    The p-values of all tables come from one :func:`_log_sf_lanes` call.
+    The p-values of all tables come from one :func:`_log_sf_lanes` call; a
+    table with one X or one Y level gets dof 0, zero statistics and p = 1.
     """
     stats: list[float] = []
     dofs: list[int] = []
@@ -455,87 +480,60 @@ def _results(
             dofs += (used, used)
     log_ps = iter(_log_sf_lanes(stats, dofs))
     results = []
-    for (dx, dy), n_strata, (g2, chi2) in tables:
-        empty_strata = strata_nominal - n_strata
-        if dx == 1 or dy == 1:
-            results.append(TestResult(
-                g2=0.0,
-                chi2=0.0,
-                dof=0,
-                dof_adjusted=0,
-                log_p_g2=0.0,
-                log_p_chi2=0.0,
-                empty_strata=empty_strata,
-                method=method,
-                degenerate=True,
-            ))
-            continue
+    for (dx, dy), n_strata, pair in tables:
+        free = (dx - 1) * (dy - 1)
+        g2, chi2 = pair if free else (0.0, 0.0)
         results.append(TestResult(
             g2=g2,
             chi2=chi2,
-            dof=(dx - 1) * (dy - 1) * strata_nominal,
-            dof_adjusted=(dx - 1) * (dy - 1) * n_strata,
-            log_p_g2=next(log_ps),
-            log_p_chi2=next(log_ps),
-            empty_strata=empty_strata,
+            dof=free * strata_nominal,
+            dof_adjusted=free * n_strata,
+            log_p_g2=next(log_ps) if free else 0.0,
+            log_p_chi2=next(log_ps) if free else 0.0,
+            empty_strata=strata_nominal - n_strata,
             method=method,
+            degenerate=not free,
         ))
     return results
 
 
-def _ipf_test(data: Dataset, spec: TestSpec, adjust_dof: bool) -> TestResult:
-    cells = tabulate.occupied_cells(data, spec.x, spec.y, spec.cs)
-    stats = (0.0, 0.0)
-    if 1 not in cells.dims_xy:
-        # Both classes of the CI model contain Z, so fitting over the occupied
-        # strata alone leaves the fitted means and deviance unchanged.
-        fit = loglinear.ipf_fit(cells.as_table(), loglinear.ci_model(1))
-        if not fit.converged:
-            raise DataError(f"ipf fit did not converge within {fit.iterations} iterations")
-        stats = fit.deviance, fit.pearson
-    strata_nominal = math.prod(data.levels(c) for c in spec.cs)
-    table = (cells.dims_xy, cells.n_strata, stats)
-    return _results([table], strata_nominal, "ipf", adjust_dof)[0]
-
-
 def _screen(
-    data: Dataset, cs: tuple[int, ...], specs: list[TestSpec], adjust_dof: bool
+    data: Dataset, cs: tuple[int, ...], specs: list[TestSpec], method: str, adjust_dof: bool
 ) -> list[TestResult]:
-    """Closed-form results, in order, of ``specs`` that all condition on ``cs``."""
+    """Results, in order, of ``specs`` that all condition on ``cs``."""
+    statistics = _ROUTES[method]
     strata_nominal = math.prod([data.levels(c) for c in cs])
     tables: list = [None] * len(specs)
     for positions, cells in tabulate.stacked_cells(data, cs, [(s.x, s.y) for s in specs]):
-        for k, stats in zip(positions, _closed_form(cells)):
+        for k, stats in zip(positions, statistics(cells)):
             tables[k] = (cells.dims_xy, cells.n_strata, stats)
-    return _results(tables, strata_nominal, "closed_form", adjust_dof)
+    return _results(tables, strata_nominal, method, adjust_dof)
 
 
 def _run(data: Dataset, specs: list[TestSpec], method: str, adjust_dof: bool) -> list[TestResult]:
-    """Results of validated ``specs`` in order.
+    """Results of validated ``specs`` in order, on either method.
 
-    The closed form groups the specs by conditioning set, so each set is
-    indexed once and the pairs that share it are computed together; ipf
-    fits one table per spec.
+    The specs are grouped by conditioning set, so each set is indexed once
+    and the pairs that share it are tabulated and computed stack by stack.
     """
     if specs and data.n_rows == 0:
         raise DataError("dataset is empty")
-    if method == "ipf":
-        return [_ipf_test(data, spec, adjust_dof) for spec in specs]
     if len(specs) == 1:
-        return _screen(data, specs[0].cs, specs, adjust_dof)
+        return _screen(data, specs[0].cs, specs, method, adjust_dof)
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault(spec.cs, []).append(i)
     results: list[TestResult | None] = [None] * len(specs)
     for cs, members in groups.items():
-        for i, result in zip(members, _screen(data, cs, [specs[i] for i in members], adjust_dof)):
+        group = _screen(data, cs, [specs[i] for i in members], method, adjust_dof)
+        for i, result in zip(members, group):
             results[i] = result
     return results
 
 
 def _check_method(method: str) -> None:
-    if method not in ("closed_form", "ipf"):
-        raise ValueError(f"method must be 'closed_form' or 'ipf', got {method!r}")
+    if method not in _ROUTES:
+        raise ValueError(f"method must be one of {tuple(_ROUTES)}, got {method!r}")
 
 
 def ci_test(
@@ -569,7 +567,7 @@ def batch_screen(
     """Run many tests and return results in input order.
 
     Specs that share a conditioning set share one Z index, and their
-    closed-form statistics are computed together (see :func:`_run`).
+    statistics are computed together on either method (see :func:`_run`).
     Results are identical to standalone :func:`ci_test` calls regardless of
     ``workers`` and of which specs are batched together: with ``workers``
     above 1, capped at the number of specs and of CPUs, each thread runs

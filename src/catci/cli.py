@@ -66,10 +66,6 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
 _METHOD_NAMES = {"closed": "closed_form", "closed_form": "closed_form", "ipf": "ipf"}
 
 
-def _method_name(short: str) -> str:
-    return _METHOD_NAMES[short]
-
-
 def _result_fields(data: Dataset, spec: TestSpec, res: TestResult) -> dict:
     return {
         "x": data.columns[spec.x].name,
@@ -102,7 +98,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
         y=_resolve_column(args.y, data),
         cs=_parse_cs(args.cs, data),
     )
-    res = ci_test(data, spec, method=_method_name(args.method), adjust_dof=args.adjust_dof)
+    res = ci_test(data, spec, method=_METHOD_NAMES[args.method], adjust_dof=args.adjust_dof)
     fields = _result_fields(data, spec, res)
     del fields["degenerate"]  # the single-test report keeps it last, after p_g2, p_chi2
     fields["p_g2"] = math.exp(res.log_p_g2)
@@ -156,7 +152,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         data,
         specs,
         workers=args.workers,
-        method=_method_name(args.method),
+        method=_METHOD_NAMES[args.method],
         adjust_dof=args.adjust_dof,
     )
     rows = [_result_fields(data, s, r) for s, r in zip(specs, results)]
@@ -217,7 +213,7 @@ def _method_list(text: str) -> tuple[str, ...]:
     if not names or not all(name in _METHOD_NAMES for name in names):
         message = f"expected a comma-separated subset of closed,ipf, got {text!r}"
         raise argparse.ArgumentTypeError(message)
-    return tuple(map(_method_name, names))
+    return tuple(_METHOD_NAMES[name] for name in names)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -259,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--x", required=True, help="first variable (name or 0-based index)")
     p_test.add_argument("--y", required=True, help="second variable (name or 0-based index)")
     p_test.add_argument("--cs", default="", help="comma-separated conditioning columns")
-    p_test.add_argument("--method", choices=("closed", "closed_form", "ipf"), default="closed")
+    p_test.add_argument("--method", choices=tuple(_METHOD_NAMES), default="closed")
     p_test.add_argument("--adjust-dof", action="store_true", dest="adjust_dof",
                         help="use dof counting only occupied conditioning combinations")
     p_test.add_argument("--format", choices=("json", "tsv"), default="json")
@@ -271,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="'all' or a file with one 'x y' (or 'x,y') pair per line")
     p_batch.add_argument("--cs", default="", help="conditioning columns applied to every pair")
     p_batch.add_argument("--workers", type=_positive_int, default=1)
-    p_batch.add_argument("--method", choices=("closed", "closed_form", "ipf"), default="closed")
+    p_batch.add_argument("--method", choices=tuple(_METHOD_NAMES), default="closed")
     p_batch.add_argument("--adjust-dof", action="store_true", dest="adjust_dof")
     p_batch.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     p_batch.set_defaults(handler=_cmd_batch)

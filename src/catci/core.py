@@ -9,6 +9,7 @@ All types are safe to share across threads, such as the ones
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -184,9 +185,13 @@ class TestSpec:
     cs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cs", tuple(int(c) for c in self.cs))
-        object.__setattr__(self, "x", int(self.x))
-        object.__setattr__(self, "y", int(self.y))
+        # operator.index refuses floats and strings, which int() would truncate or parse.
+        try:
+            object.__setattr__(self, "cs", tuple(map(operator.index, self.cs)))
+            object.__setattr__(self, "x", operator.index(self.x))
+            object.__setattr__(self, "y", operator.index(self.y))
+        except TypeError:
+            raise SpecError(f"spec indices must be integers: {self!r}") from None
 
 
 def validate_spec(spec: TestSpec, data: Dataset) -> None:

@@ -11,7 +11,8 @@ variable fastest, so each conditioning combination owns one contiguous
 its occupied strata at most once (and, for a single pair, only when the
 cell code would overflow), and tabulates every pair that shares it
 against that index, so its memory grows with the rows and the occupied
-strata, never with ``prod |Z_i|`` or the number of pairs.
+strata, never with ``prod |Z_i|`` or the number of pairs.  Both test
+routes take their stacks from it; ipf fits each :meth:`OccupiedCells.as_table`.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class OccupiedCells:
     Cell ``i`` holds ``count[i]`` rows with codes ``x[i]``, ``y[i]`` in
     stratum ``stratum[i]``.  Strata are numbered from 0 across the stack,
     table by table and within a table in lexicographic order of their codes;
-    cells are sorted by ``(stratum, x, y)``.  :func:`occupied_cells` gives a
-    stack of one table.
+    cells are sorted by ``(stratum, x, y)``.  A single pair tabulated by
+    :func:`stacked_cells` gives a stack of one table.
     """
 
     dims_xy: tuple[int, int]
@@ -80,8 +81,8 @@ class OccupiedCells:
     count: np.ndarray
     total: int
 
-    def as_table(self) -> ContingencyTable:
-        """Dense ``(x, y, stratum)`` table of a one-table stack.
+    def as_table(self, k: int = 0) -> ContingencyTable:
+        """Dense ``(x, y, stratum)`` table ``k`` of the stack, strata from 0.
 
         It holds at most ``|X|·|Y|·n_rows`` cells.
 
@@ -96,8 +97,10 @@ class OccupiedCells:
                 f"table with {n_cells} cells exceeds the {_TABLE_CELLS}-cell limit; "
                 "the closed form tabulates the occupied cells only"
             )
+        cells = slice(self.bounds[k], self.bounds[k + 1])
+        stratum = self.stratum[cells] - k * self.n_strata
         dense = np.zeros(n_cells, dtype=np.int64)
-        dense[self.x + dx * (self.y + dy * self.stratum)] = self.count
+        dense[self.x[cells] + dx * (self.y[cells] + dy * stratum)] = self.count[cells]
         return ContingencyTable(dims=(dx, dy, self.n_strata), total=self.total, dense=dense)
 
 
@@ -266,16 +269,6 @@ def stacked_cells(
         yield positions, _stack(dims, parts, counts, bounds, n)
 
 
-def occupied_cells(data: Dataset, x: int, y: int, cs: Sequence[int] = ()) -> OccupiedCells:
-    """Tabulate ``(x, y)`` within the occupied strata of ``cs`` in one pass.
-
-    The one-table case of :func:`stacked_cells`: memory grows with the rows
-    and the occupied strata, never with ``prod |Z_i|``.
-    """
-    ((_, cells),) = stacked_cells(data, cs, [(x, y)])
-    return cells
-
-
 # build_table and OccupiedCells.as_table allocate every cell of their table;
 # beyond this many they refuse.
 _TABLE_CELLS = 1 << 24
@@ -289,8 +282,7 @@ def build_table(data: Dataset, variables: Sequence[int]) -> ContingencyTable:
     Raises:
         DataError: if the table would have more than 2²⁴ cells; nothing is
             allocated then.  Tests on large conditioning sets go through
-            ``ci_test`` or :func:`occupied_cells`, which count occupied
-            strata only.
+            ``ci_test`` or ``batch_screen``, which count occupied strata only.
     """
     variables = tuple(int(v) for v in variables)
     for v in variables:
@@ -305,7 +297,7 @@ def build_table(data: Dataset, variables: Sequence[int]) -> ContingencyTable:
     if n_cells > _TABLE_CELLS:
         raise DataError(
             f"table with {n_cells} cells exceeds the {_TABLE_CELLS}-cell limit; "
-            "ci_test and occupied_cells tabulate the occupied strata only"
+            "ci_test and batch_screen tabulate the occupied strata only"
         )
     flat = np.zeros(data.n_rows, dtype=np.int64)
     stride = 1

@@ -619,7 +619,7 @@ class TestFoldedSums:
     @given(case=st.one_of(kernel_datasets(), singleton_strata()))
     def test_single_tables_equal_unfolded_sums(self, share, case):
         data, spec = case
-        cells = tabulate.occupied_cells(data, spec.x, spec.y, spec.cs)
+        ((_, cells),) = tabulate.stacked_cells(data, spec.cs, [(spec.x, spec.y)])
         with mock.patch.object(citest, "_FOLD_SHARE", share):
             assert citest._closed_form(cells) == closed_form_unfolded(cells)
 
@@ -809,6 +809,15 @@ class TestBatchedKernel:
         assert batch == singles == threaded
         for spec, result in zip(specs, batch):
             assert_matches_oracle(result, ci_occupied_bruteforce(data, spec))
+
+    @pytest.mark.parametrize("adjust_dof", [False, True])
+    @given(case=screens())
+    def test_ipf_stacks_equal_single_ipf_tests(self, adjust_dof, case):
+        data, specs = case
+        # A wide row budget stacks every pair of equal dimensions together.
+        with mock.patch.object(tabulate, "_STACK_ROWS", len(specs)):
+            batch = batch_screen(data, specs, method="ipf", adjust_dof=adjust_dof)
+        assert batch == [ci_test(data, s, method="ipf", adjust_dof=adjust_dof) for s in specs]
 
     @given(case=screens(), cut=st.integers(0, 30))
     def test_any_split_concatenates(self, case, cut):

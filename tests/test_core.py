@@ -138,6 +138,21 @@ class TestValidateSpec:
         with pytest.raises(SpecError, match="twice"):
             validate_spec(TestSpec(0, 1, (2, 2)), self.data)
 
+    def test_non_integer_indices_are_refused(self):
+        with pytest.raises(SpecError, match=r"integers: .*x=1\.7, y=0\.2, cs=\(2\.9,\)"):
+            TestSpec(1.7, 0.2, cs=(2.9,))
+        with pytest.raises(SpecError, match=r"integers: .*cs=\(2\.9,\)"):
+            TestSpec(1, 0, cs=(2.9,))
+        with pytest.raises(SpecError, match="integers: .*y='1'"):
+            TestSpec(0, "1")
+        with pytest.raises(SpecError, match="integers: .*cs='23'"):
+            TestSpec(0, 1, cs="23")
+
+    def test_numpy_integers_are_indices(self):
+        spec = TestSpec(np.int64(0), np.int32(1), cs=np.array([2, 3]))
+        assert spec == TestSpec(0, 1, (2, 3))
+        assert all(type(i) is int for i in (spec.x, spec.y, *spec.cs))
+
 
 class TestContingencyTable:
     def test_sum_must_match_total(self):

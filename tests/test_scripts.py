@@ -1,10 +1,11 @@
-"""The timing scripts under scripts/ run end to end on small inputs.
+"""The scripts under scripts/ run end to end on small inputs.
 
-Source comments cite their output, so each is run once on a small shape and
-its JSON rows are checked, not its timings.
+Source comments and the README cite their output, so each is run once on a
+small shape and its rows are checked, not its timings.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,23 @@ def test_reader_shapes(tmp_path):
         assert row["bytes"] == (tmp_path / f"{row['shape']}-2000.csv").stat().st_size
         assert set(row["src"]) == {"read_s", "peak_rss_mb", "traced_peak_mb", "beyond_result_mb"}
         assert row["src"]["read_s"] > 0
+
+
+def test_null_calibration_study():
+    # The script imports catci as installed; run it on this checkout's source.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "scripts/null_calibration_study.py", "--seeds", "2",
+         "--sample-sizes", "300", "--method", "ipf"],
+        cwd=ROOT, env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    header, *rows = [line.split("\t") for line in out.splitlines()]
+    assert header == ["scenario", "n", "stat", "rate@0.01", "rate@0.05", "rate@0.1"]
+    assert [row[:3] for row in rows] == [
+        [scenario, "300", stat]
+        for scenario in ("3x4x2", "3x4x2x4", "3x4x2x4x4")
+        for stat in ("G2", "chi2")
+    ]
+    for row in rows:
+        # Two seeds: each rate is a share of two tests.
+        assert all(rate in ("0.0000", "0.5000", "1.0000") for rate in row[3:])

@@ -1,16 +1,19 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from catci import tabulate
 from catci.core import DataError, SpecError
 from catci.tabulate import (
     build_table,
     expected_ci,
     slice_marginals,
+    stacked_cells,
     table_from_counts,
 )
 
@@ -62,7 +65,7 @@ class TestBuildTable:
         data = make_dataset(rng, 100, (4,) * 14)  # 2**28 nominal cells
         tracemalloc.start()
         try:
-            with pytest.raises(DataError, match=f"{4**14} cells.*occupied_cells"):
+            with pytest.raises(DataError, match=f"{4**14} cells.*ci_test and batch_screen"):
                 build_table(data, range(14))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -82,6 +85,28 @@ class TestBuildTable:
         for coords in itertools.product(*(range(d) for d in t.dims)):
             assert t.count_at(coords) == counted.get(coords, 0)
         assert t.total == n
+
+
+class TestStackedTables:
+    @given(
+        n=st.integers(1, 60),
+        levels=st.lists(st.integers(1, 4), min_size=4, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_table_of_a_stack_equals_its_single_pair_table(self, n, levels, seed):
+        data = make_dataset(np.random.default_rng(seed), n, levels)
+        cs = (0, 1)
+        # Every pair has the same dimensions, so a wide row budget stacks them all.
+        pairs = [(x, y) for x, y in itertools.permutations(range(2, len(levels)), 2)
+                 if (levels[x], levels[y]) == (levels[2], levels[3])]
+        with mock.patch.object(tabulate, "_STACK_ROWS", len(pairs)):
+            ((positions, stack),) = stacked_cells(data, cs, pairs)
+        for k, i in enumerate(positions):
+            ((_, single),) = stacked_cells(data, cs, [pairs[i]])
+            table = stack.as_table(k)
+            assert table.dims == single.as_table().dims
+            assert np.array_equal(table.dense, single.as_table().dense)
+            assert table.total == n
 
 
 class TestSliceMarginals:
