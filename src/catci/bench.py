@@ -13,12 +13,9 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .citest import _ROUTES, ci_test
-from .core import TestSpec
+from .citest import ci_test
+from .core import METHODS, TestSpec
 from .io import GenConfig, generate
-
-_METHODS = tuple(_ROUTES)
-_BASELINE = "closed_form"
 
 
 @dataclass(frozen=True)
@@ -36,7 +33,7 @@ class BenchConfig:
     sample_sizes: tuple[int, ...] = (3000, 5000, 10000)
     scenarios: tuple[tuple[int, ...], ...] = ((3, 4, 2), (3, 4, 2, 4), (3, 4, 2, 4, 4))
     repetitions: int = 50
-    methods: tuple[str, ...] = _METHODS
+    methods: tuple[str, ...] = METHODS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -54,8 +51,8 @@ class BenchConfig:
             raise ValueError("scenarios must be nonempty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if not self.methods or any(m not in _METHODS for m in self.methods):
-            raise ValueError(f"methods must be a nonempty subset of {_METHODS}")
+        if not self.methods or any(m not in METHODS for m in self.methods):
+            raise ValueError(f"methods must be a nonempty subset of {METHODS}")
         for scenario in self.scenarios:
             if len(scenario) < 2 or any(d < 2 for d in scenario):
                 raise ValueError(f"scenario needs >= 2 variables with >= 2 levels: {scenario}")
@@ -119,7 +116,7 @@ def run_bench(config: BenchConfig = BenchConfig()) -> list[BenchRecord]:
                             ci_test(data, spec, method=method)
                         sums[method] += time.perf_counter() - start
                 means = {method: s / config.repetitions for method, s in sums.items()}
-                baseline = means.get(_BASELINE, means[config.methods[0]])
+                baseline = means.get(METHODS[0], means[config.methods[0]])
                 for method in config.methods:
                     records.append(
                         BenchRecord(

@@ -9,9 +9,10 @@ fits the conditional-independence log-linear model to each table.  Both
 agree to floating precision.
 
 P-values are carried in natural-log scale throughout: mass screening
-multiplies tiny tail probabilities far past linear underflow.  Statistic
-reductions use exact compensated summation, so results are invariant under
-any relabeling of the variable levels.
+multiplies tiny tail probabilities far past linear underflow.  Each is one
+scalar :func:`log_sf_chisq` call, in a single test and in a screen group
+alike.  Statistic reductions use exact compensated summation, so results
+are invariant under any relabeling of the variable levels.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import loglinear, tabulate
 from .core import (
+    METHODS,
     ContingencyTable,
     DataError,
     Dataset,
@@ -103,13 +105,17 @@ def log_sf_chisq(stat: float, dof: int) -> float:
     """Natural-log upper-tail probability ``ln P(χ²_dof > stat)``.
 
     Evaluates the regularized upper incomplete gamma function Q(a, x), with
-    a = dof/2 and x = stat/2, in log space.  Where a >= 100 and x lies within
-    30% of a, it uses Temme's uniform asymptotic expansion, in O(1) time;
-    elsewhere a lower-tail series when x < a + 1 and a continued fraction
-    otherwise, each converging within a few hundred steps.  Against mpmath
-    the absolute error in log p is at most about 1e-12 (relative where
-    |log p| > 1) for any dof from 1 to 1e15 and any finite nonnegative
-    statistic, and no such input raises.
+    a = dof/2 and x = stat/2, in log space.  Below dof 200 it is the exact
+    finite sum of :func:`_log_q_finite`, of at most 100 terms (a non-integer
+    dof takes the series or the continued fraction instead), except where
+    Q is within 1e-3 of 1 and the lower-tail series, converging fast there,
+    resolves ln Q better.  From dof 200 on, where x lies within 30% of a it
+    uses Temme's uniform asymptotic expansion, in O(1) time; elsewhere the
+    lower-tail series when x < a + 1 and a continued fraction otherwise,
+    each converging within a few hundred steps.  Against mpmath the absolute
+    error in log p is at most about 1e-12 (relative where |log p| > 1) for
+    any dof from 1 to 1e15 and any finite nonnegative statistic, and no such
+    input raises.
     """
     if dof < 1:
         raise ValueError("dof must be >= 1; degenerate tests map to p = 1 upstream")
@@ -122,8 +128,13 @@ def log_sf_chisq(stat: float, dof: int) -> float:
         return -math.inf
     a = 0.5 * dof
     x = 0.5 * stat
-    if a >= _TEMME_MIN_A and abs(x - a) < _TEMME_BAND * a:
-        return _log_q_temme(a, x)
+    if a >= _TEMME_MIN_A:
+        if abs(x - a) < _TEMME_BAND * a:
+            return _log_q_temme(a, x)
+    elif dof % 1 == 0:  # a is a whole or a half: Q is a finite sum
+        log_q = _log_q_finite(a, x)
+        if log_q < _FINITE_MAX_LOG_Q:
+            return log_q
     if x < a + 1.0:
         p = math.exp(a * math.log(x) - x - math.lgamma(a + 1.0) + math.log(_lower_series_sum(a, x)))
         if p >= 1.0:
@@ -132,12 +143,10 @@ def log_sf_chisq(stat: float, dof: int) -> float:
     return min(0.0, a * math.log(x) - x - math.lgamma(a) + math.log(_upper_cf(a, x)))
 
 
-def _lower_series_sum(
-    a: float, x: float, term: float = 1.0, total: float = 1.0, n: int = 1
-) -> float:
-    # Σ_{n>=0} x^n / Π_{m=1..n}(a+m), the sum in P(a, x) = x^a e^-x / Γ(a+1) · Σ,
-    # from its term n on, given the term and the sum before it.
-    for n in range(n, _SERIES_MAX_TERMS):
+def _lower_series_sum(a: float, x: float) -> float:
+    # Σ_{n>=0} x^n / Π_{m=1..n}(a+m), the sum in P(a, x) = x^a e^-x / Γ(a+1) · Σ.
+    term = total = 1.0
+    for n in range(1, _SERIES_MAX_TERMS):
         term *= x / (a + n)
         total += term
         if term < total * 1e-17:
@@ -151,12 +160,10 @@ _TINY = 1e-300
 def _upper_cf(a: float, x: float) -> float:
     # h in Q(a, x) = x^a e^-x / Γ(a) · h, by modified Lentz.
     b = x + 1.0 - a
-    return _lentz(a, b, 1.0 / _TINY, 1.0 / b, 1.0 / b, 1)
-
-
-def _lentz(a: float, b: float, c: float, d: float, h: float, i: int) -> float:
-    # The modified Lentz steps of _upper_cf from step i on, given the state before it.
-    for i in range(i, _CF_MAX_TERMS):
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, _CF_MAX_TERMS):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -171,6 +178,47 @@ def _lentz(a: float, b: float, c: float, d: float, h: float, i: int) -> float:
         if abs(delta - 1.0) < 1e-16:
             return h
     raise RuntimeError("upper incomplete gamma continued fraction failed to converge")
+
+
+# _log_q_finite's ln Q carries an absolute error of a few 1e-16, too coarse
+# for ln Q = ln(1 - P) ≈ -P once ln Q is above this; there the lower series,
+# which converges fast, answers instead.
+_FINITE_MAX_LOG_Q = -1e-3
+
+
+def _log_q_finite(a: float, x: float) -> float:
+    """ln Q(a, x) for 2a an integer and a below ``_TEMME_MIN_A``, as a finite sum.
+
+    With a = m + c and c = 0 or 1/2 (Abramowitz & Stegun 26.4.4-5),
+    Q(a, x) = e^-x Σ_{k<m} t_k, plus erfc(√x) when c = 1/2, where
+    t_k = x^(k+c) / Γ(k+c+1).  The terms rise while k + c < x.  Below
+    x = a they are summed from t_0 up, and the sum stays below e^x ≤ e^100;
+    from x = a on, from the largest, t_(m-1) = x^(a-1) / Γ(a), down, as
+    multiples of it with its log held out, so no finite x overflows.
+    """
+    m = int(a)
+    c = a - m
+    if x < a:
+        held = 0.0
+        term = 2.0 * math.sqrt(x / math.pi) if c else 1.0
+        total = term if m else 0.0
+        for k in range(1, m):
+            term *= x / (k + c)
+            total += term
+    else:
+        held = (a - 1.0) * math.log(x) - math.lgamma(a)
+        term = 1.0
+        total = 1.0 if m else 0.0
+        for k in range(m - 1, 0, -1):
+            term *= (k + c) / x
+            total += term
+    if c:  # erfc(√x) = e^-x·erfcx(√x), in units of e^(held - x)
+        y = math.sqrt(x)
+        if y < _ERFC_SAFE:
+            total += math.erfc(y) * math.exp(x - held)
+        else:
+            total += _erfcx(y, x) * math.exp(-held)
+    return held - x + math.log(total)
 
 
 # Temme's expansion (Temme 1979; DiDonato & Morris 1986; Gil, Segura & Temme
@@ -263,130 +311,16 @@ def _log_q_temme(a: float, x: float) -> float:
         return min(0.0, math.log1p(-(0.5 * math.erfc(-y) - math.exp(-y2) * s)))
     if y < _ERFC_SAFE:
         return math.log(0.5 * math.erfc(y) + math.exp(-y2) * s)
+    return -y2 + math.log(0.5 * _erfcx(y, y2) + s)
+
+
+def _erfcx(y: float, y2: float) -> float:
+    """erfcx(y) = exp(y²)·erfc(y) for y >= ``_ERFC_SAFE``, given y2 = y², by asymptotic series."""
     u = 0.5 / y2
     erfcx = 0.0
     for coef in reversed(_ERFCX_TERMS):
         erfcx = erfcx * u + coef
-    erfcx /= y * math.sqrt(math.pi)
-    return -y2 + math.log(0.5 * erfcx + s)
-
-
-# _log_sf_lanes loops the scalar log_sf_chisq below this many lanes: a numpy
-# step costs about as much as a few scalar ones.
-_LOCKSTEP_LANES = 32
-# Terms per lane and lockstep step of the series; 16 float64 terms of 1000
-# lanes are 128 kB.
-_SERIES_BLOCK = 16
-
-
-def _log_sf_lanes(stats: list[float], dofs: list[int]) -> list[float]:
-    """``log_sf_chisq(stats[i], dofs[i])`` of every lane, each ``==`` to that call.
-
-    The series lanes and the continued-fraction lanes each step in lockstep
-    over arrays, with the scalar routine's operations in its order, and a
-    lane leaves the arrays at the step where the scalar loop would stop.
-    The series takes ``_SERIES_BLOCK`` terms a step, by a running product
-    and a running sum, both sequential.  The logs and the other ``math``
-    functions are applied lane by lane.  Lanes in Temme's band, with a
-    statistic of 0, inf or an invalid one, and batches of fewer than
-    ``_LOCKSTEP_LANES`` lanes go through ``log_sf_chisq`` itself.
-    """
-    if len(stats) < _LOCKSTEP_LANES:
-        return list(map(log_sf_chisq, stats, dofs))
-    stat = np.array(stats, dtype=np.float64)
-    a = 0.5 * np.array(dofs, dtype=np.float64)
-    x = 0.5 * stat
-    # NaN fails every comparison, so it goes the scalar way too.
-    stepped = (stat > 0.0) & (stat < math.inf) & (a >= 0.5)
-    stepped &= (a < _TEMME_MIN_A) | ~(np.abs(x - a) < _TEMME_BAND * a)
-    lower = stepped & (x < a + 1.0)
-    upper = stepped & ~lower
-    out = np.empty(stat.size)
-    for i in np.flatnonzero(~stepped).tolist():
-        out[i] = log_sf_chisq(stats[i], dofs[i])
-    lanes = np.flatnonzero(lower)
-    if lanes.size:
-        al, xl = a[lanes], x[lanes]
-        # log_sf_chisq's series branch, lane by lane
-        p = _map(math.exp, al * _map(math.log, xl) - xl - _map(math.lgamma, al + 1.0)
-                 + _map(math.log, _lower_series_sums(al, xl)))
-        log_q = np.full(p.size, -math.ulp(0.5))
-        below = p < 1.0
-        log_q[below] = _map(math.log1p, -p[below])
-        out[lanes] = log_q
-    lanes = np.flatnonzero(upper)
-    if lanes.size:
-        al, xl = a[lanes], x[lanes]
-        # log_sf_chisq's continued-fraction branch, lane by lane
-        out[lanes] = (al * _map(math.log, xl) - xl - _map(math.lgamma, al)
-                      + _map(math.log, _upper_cfs(al, xl)))
-    # min(0.0, v), which gives 0.0 for v = -0.0
-    return np.where(out < 0.0, out, 0.0).tolist()
-
-
-def _map(fn, values: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, values.tolist()), np.float64, values.size)
-
-
-def _lower_series_sums(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_lower_series_sum`` of every lane."""
-    sums = np.empty(a.size)
-    lanes = np.arange(a.size)
-    term = np.ones(a.size)
-    total = np.ones(a.size)
-    offsets = np.arange(_SERIES_BLOCK, dtype=np.float64)
-    n = 1
-    while lanes.size >= _LOCKSTEP_LANES and n < _SERIES_MAX_TERMS:
-        terms = x[:, None] / (a[:, None] + (offsets + n))
-        terms[:, 0] *= term
-        np.multiply.accumulate(terms, axis=1, out=terms)
-        totals = terms.copy()
-        totals[:, 0] += total
-        np.add.accumulate(totals, axis=1, out=totals)
-        n += _SERIES_BLOCK
-        done = terms < totals * 1e-17
-        stop = done.any(axis=1)
-        if stop.any():
-            stopped = totals[stop]
-            sums[lanes[stop]] = stopped[np.arange(stopped.shape[0]), done[stop].argmax(axis=1)]
-            go = ~stop
-            lanes, a, x, terms, totals = lanes[go], a[go], x[go], terms[go], totals[go]
-        term, total = terms[:, -1], totals[:, -1]
-    state = zip(lanes.tolist(), a.tolist(), x.tolist(), term.tolist(), total.tolist())
-    for lane, *series in state:
-        sums[lane] = _lower_series_sum(*series, n)
-    return sums
-
-
-def _upper_cfs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_upper_cf`` of every lane."""
-    hs = np.empty(a.size)
-    lanes = np.arange(a.size)
-    b = x + 1.0 - a
-    c = np.full(a.size, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d
-    i = 1
-    while lanes.size >= _LOCKSTEP_LANES and i < _CF_MAX_TERMS:
-        an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d[np.abs(d) < _TINY] = _TINY
-        c = b + an / c
-        c[np.abs(c) < _TINY] = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        i += 1
-        done = np.abs(delta - 1.0) < 1e-16
-        if done.any():
-            hs[lanes[done]] = h[done]
-            go = ~done
-            lanes, a, b, c, d, h = lanes[go], a[go], b[go], c[go], d[go], h[go]
-    state = zip(lanes.tolist(), a.tolist(), b.tolist(), c.tolist(), d.tolist(), h.tolist())
-    for lane, *lentz in state:
-        hs[lane] = _lentz(*lentz, i)
-    return hs
+    return erfcx / (y * math.sqrt(math.pi))
 
 
 def _closed_form(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
@@ -457,7 +391,7 @@ def _ipf(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
 
 
 # The statistic of each method, computed for every table of a stack.
-_ROUTES = {"closed_form": _closed_form, "ipf": _ipf}
+_ROUTES = dict(zip(METHODS, (_closed_form, _ipf)))
 
 
 def _results(
@@ -468,28 +402,21 @@ def _results(
 ) -> list[TestResult]:
     """The ``TestResult`` of each table, given as its shape, strata and statistics.
 
-    The p-values of all tables come from one :func:`_log_sf_lanes` call; a
-    table with one X or one Y level gets dof 0, zero statistics and p = 1.
+    Each p-value is one :func:`log_sf_chisq` call; a table with one X or
+    one Y level gets dof 0, zero statistics and p = 1.
     """
-    stats: list[float] = []
-    dofs: list[int] = []
-    for (dx, dy), n_strata, pair in tables:
-        if dx > 1 and dy > 1:
-            used = (dx - 1) * (dy - 1) * (n_strata if adjust_dof else strata_nominal)
-            stats += pair
-            dofs += (used, used)
-    log_ps = iter(_log_sf_lanes(stats, dofs))
     results = []
     for (dx, dy), n_strata, pair in tables:
         free = (dx - 1) * (dy - 1)
         g2, chi2 = pair if free else (0.0, 0.0)
+        used = free * (n_strata if adjust_dof else strata_nominal)
         results.append(TestResult(
             g2=g2,
             chi2=chi2,
             dof=free * strata_nominal,
             dof_adjusted=free * n_strata,
-            log_p_g2=next(log_ps) if free else 0.0,
-            log_p_chi2=next(log_ps) if free else 0.0,
+            log_p_g2=log_sf_chisq(g2, used) if free else 0.0,
+            log_p_chi2=log_sf_chisq(chi2, used) if free else 0.0,
             empty_strata=strata_nominal - n_strata,
             method=method,
             degenerate=not free,

@@ -20,7 +20,7 @@ from typing import Sequence
 from . import bench as bench_mod
 from . import io as io_mod
 from .citest import batch_screen, ci_test
-from .core import DataError, Dataset, SpecError, TestResult, TestSpec
+from .core import METHODS, DataError, Dataset, SpecError, TestResult, TestSpec
 
 _EXIT_DATA = 3
 _EXIT_SPEC = 4
@@ -63,7 +63,9 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     )
 
 
-_METHOD_NAMES = {"closed": "closed_form", "closed_form": "closed_form", "ipf": "ipf"}
+# Each method by its short name, the part before any "_", and by its tag.
+_SHORT_NAMES = {method.split("_")[0]: method for method in METHODS}
+_METHOD_NAMES = {name: method for short, method in _SHORT_NAMES.items() for name in (short, method)}
 
 
 def _result_fields(data: Dataset, spec: TestSpec, res: TestResult) -> dict:
@@ -211,7 +213,7 @@ def _positive_int(text: str) -> int:
 def _method_list(text: str) -> tuple[str, ...]:
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not names or not all(name in _METHOD_NAMES for name in names):
-        message = f"expected a comma-separated subset of closed,ipf, got {text!r}"
+        message = f"expected a comma-separated subset of {','.join(_SHORT_NAMES)}, got {text!r}"
         raise argparse.ArgumentTypeError(message)
     return tuple(_METHOD_NAMES[name] for name in names)
 
@@ -293,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repetitions", default=defaults.repetitions, type=_positive_int,
                          help="datasets timed per cell (default %(default)s)")
     p_bench.add_argument("--methods", default=defaults.methods, type=_method_list,
-                         help="subset of closed,ipf (default both)")
+                         help=f"subset of {','.join(_SHORT_NAMES)} (default all)")
     p_bench.add_argument("--seed", default=defaults.seed, type=int)
     p_bench.add_argument("--format", choices=("tsv", "markdown"), default="tsv")
     p_bench.add_argument("--out", help="write the report here instead of stdout")

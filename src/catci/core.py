@@ -280,6 +280,11 @@ class ContingencyTable:
         return self.dims == other.dims and np.array_equal(self.dense, other.dense)
 
 
+# The method tag of each route a test can take.  The first is the default,
+# and the route that timings are normalised by.
+METHODS = ("closed_form", "ipf")
+
+
 @dataclass(frozen=True)
 class TestResult:
     """Full outcome of one conditional independence test.
@@ -305,7 +310,7 @@ class TestResult:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        if self.method not in ("closed_form", "ipf"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
         if self.g2 < 0 or self.chi2 < 0:
             raise ValueError("statistics must be nonnegative")

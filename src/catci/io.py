@@ -392,6 +392,8 @@ def _factorise(
             np.add(code[longer[i] : m], n_ids, out=ids[longer[i] : m])
             n_ids += radix
             m = longer[i]
+            if m == 0:  # no token is longer than i
+                break
         if radix > m or radix * base > tabulate._BINCOUNT_SPAN * m:
             values, _, code = tabulate._count_distinct(code[:m], radix, inverse=True)
             radix = values.size

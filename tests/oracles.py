@@ -102,6 +102,17 @@ def log_sf_quadrature(stat, dof, dps=50):
         return float(log_scale + mp.log(integral))
 
 
+def log_sf_gammainc(stat, dof, dps=40):
+    """ln P(chi2_dof > stat) from mpmath's regularized upper incomplete gamma function.
+
+    Faster than :func:`log_sf_quadrature`; for moderate dof (mpmath stalls
+    near stat = dof from about dof 1e8 on).
+    """
+    with mp.workdps(dps):
+        q = mp.gammainc(mp.mpf(dof) / 2, mp.mpf(stat) / 2, mp.inf, regularized=True)
+        return float(mp.log(q))
+
+
 def temme_coefficients(lengths):
     """Exact Taylor coefficients in η of Temme's C_k(η), the first ``lengths[k]`` of row k.
 

@@ -26,6 +26,7 @@ from conftest import make_dataset, permute_column_levels
 from oracles import (
     ci_occupied_bruteforce,
     closed_form_unfolded,
+    log_sf_gammainc,
     log_sf_quadrature,
     temme_coefficients,
 )
@@ -150,7 +151,9 @@ class TestLogSfChisq:
         assert got == pytest.approx(LOG_SF_3_8415_DOF1, abs=1e-12)
 
     def test_against_quadrature_spot(self):
-        for stat, d in [(7.3, 5), (55.0, 48), (250.0, 192), (0.02, 1)]:
+        # Non-integer dof take the series or the continued fraction.
+        spots = [(7.3, 5), (55.0, 48), (250.0, 192), (0.02, 1), (4.0, 2.5), (30.0, 17.3)]
+        for stat, d in spots:
             assert log_sf_chisq(stat, d) == pytest.approx(
                 log_sf_quadrature(stat, d), abs=1e-11
             )
@@ -193,7 +196,7 @@ class TestLogSfChisq:
     def test_temme_band_takes_no_steps(self):
         # Near x = a at large a the expansion answers alone, in O(1).
         with mock.patch.object(citest, "_lower_series_sum") as series, \
-                mock.patch.object(citest, "_lentz") as cf:
+                mock.patch.object(citest, "_upper_cf") as cf:
             for stat in (0.8e8, 1e8, 1.2e8):
                 assert math.isfinite(log_sf_chisq(stat, 10**8))
         series.assert_not_called()
@@ -219,44 +222,34 @@ class TestLogSfChisq:
         ref = log_sf_quadrature(stat, d, dps=30 + int(log10_dof))
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    def test_finite_sums_against_mpmath_below_dof_200(self):
+        # stat = dof - 2 and dof + 2 put x = a - 1 and a + 1 on either side
+        # of the switch from the upward to the downward sum, for odd and even
+        # dof alike; 1e-9 of dof falls back to the series.
+        worst = 0.0
+        for d in range(1, 200):
+            stats = [r * d for r in (1e-9, 1e-3, 0.5, 1.0, 2.0, 50.0, 1e6)]
+            stats += [d + 2.0] + ([d - 2.0] if d > 2 else [])
+            for stat in stats:
+                ref = log_sf_gammainc(stat, d)
+                worst = max(worst, abs(log_sf_chisq(stat, d) - ref) / max(1.0, abs(ref)))
+        assert worst <= 1e-12
 
-def _lane_stats():
-    """(stat, dof) lanes over every route of log_sf_chisq."""
-    dofs = st.sampled_from([1, 2, 3, 7, 48, 192, 199, 200, 999, 5000, 10**6, 10**9, 10**15])
-    ratios = st.one_of(
-        st.floats(math.log(1e-6), math.log(50.0)).map(math.exp),
-        st.floats(0.6, 1.5),  # Temme's band and its edges at large dof
-        st.sampled_from([0.0, math.inf]),
-    )
-    return st.tuples(ratios, dofs).map(lambda rd: (rd[0] * rd[1], rd[1]))
-
-
-class TestLogSfLanes:
-    """The lockstep tail is == to the scalar one, lane by lane, whatever else is in the batch."""
-
-    @pytest.mark.parametrize("crossover", [1, citest._LOCKSTEP_LANES])
-    @given(lanes=st.lists(_lane_stats(), max_size=3 * citest._LOCKSTEP_LANES))
-    def test_equals_scalar(self, crossover, lanes):
-        stats = [s for s, _ in lanes]
-        dofs = [d for _, d in lanes]
-        with mock.patch.object(citest, "_LOCKSTEP_LANES", crossover):
-            got = citest._log_sf_lanes(stats, dofs)
-        want = [log_sf_chisq(s, d) for s, d in lanes]
-        assert got == want
-        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
-
-    def test_steps_in_lockstep_above_the_crossover(self):
-        rng = np.random.default_rng(5)
-        dofs = rng.choice([4, 12, 48, 192], size=4 * citest._LOCKSTEP_LANES).tolist()
-        stats = (rng.uniform(0.2, 3.0, size=len(dofs)) * dofs).tolist()
+    def test_null_statistics_below_dof_200_take_no_steps(self):
+        # Statistics near their dof take the finite sum alone; where Q is
+        # within 1e-3 of 1, stat << dof, the lower series answers.
         with (
-            mock.patch.object(citest, "_lower_series_sums", wraps=citest._lower_series_sums) as series,
-            mock.patch.object(citest, "_upper_cfs", wraps=citest._upper_cfs) as cf,
-            mock.patch.object(citest, "log_sf_chisq", wraps=citest.log_sf_chisq) as scalar,
+            mock.patch.object(citest, "_lower_series_sum", wraps=citest._lower_series_sum) as series,
+            mock.patch.object(citest, "_upper_cf", wraps=citest._upper_cf) as cf,
         ):
-            got = citest._log_sf_lanes(stats, dofs)
-        assert series.called and cf.called and not scalar.called
-        assert got == [log_sf_chisq(s, d) for s, d in zip(stats, dofs)]
+            for d in range(1, 200):
+                for r in (0.8, 1.0, 1.25, 2.0):
+                    log_sf_chisq(r * d, d)
+            series.assert_not_called()
+            for d in (1, 2, 48, 199):
+                assert log_sf_chisq(1e-6 * d, d) > citest._FINITE_MAX_LOG_Q
+        assert series.call_count == 4
+        cf.assert_not_called()
 
 
 def _perfectly_dependent_dataset(n_per_level=100):
@@ -738,19 +731,29 @@ class TestBatchScreen:
             assert batch_screen(data, pairs, workers=2, method="ipf") == serial
 
     def test_groups_above_the_crossover_equal_single_tests(self, rng):
-        # Each conditioning set holds more lanes than _LOCKSTEP_LANES, so its
-        # p-values come from the lockstep tail; a single test's from the scalar one.
+        # Each conditioning set holds many p-value lanes; each lane's equals
+        # the single test's.
         data = make_dataset(rng, 500, (2, 3, 4) * 4)
         pairs = [
             TestSpec(x, y, cs)
             for cs in ((), (3,), (5, 9))
             for x, y in itertools.combinations([c for c in range(12) if c not in cs], 2)
         ]
-        assert 2 * len(pairs) // 3 > citest._LOCKSTEP_LANES
-        with mock.patch.object(citest, "_upper_cfs", wraps=citest._upper_cfs) as cf:
-            batch = batch_screen(data, pairs)
-        assert cf.call_count == 3
+        batch = batch_screen(data, pairs)
         assert batch == [ci_test(data, s) for s in pairs]
+
+    def test_every_p_value_is_one_log_sf_call(self, rng):
+        # 36 pairs given column 9; the 8 with the one-level column 0 are
+        # degenerate and take no tail.
+        data = make_dataset(rng, 300, (1, 3, 4, 2, 3, 4, 2, 3, 4, 3))
+        pairs = [TestSpec(x, y, (9,)) for x, y in itertools.combinations(range(9), 2)]
+        with mock.patch.object(citest, "log_sf_chisq", wraps=citest.log_sf_chisq) as tail:
+            results = batch_screen(data, pairs)
+        assert sum(r.degenerate for r in results) == 8
+        assert tail.call_count == 2 * 28
+        assert [call.args for call in tail.call_args_list] == [
+            (stat, r.dof) for r in results if not r.degenerate for stat in (r.g2, r.chi2)
+        ]
 
     def test_options_forwarded(self, rng):
         data = make_dataset(rng, 200, (3, 3, 2))

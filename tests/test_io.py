@@ -346,6 +346,18 @@ class TestReaderCost:
         assert ds == read_delimited_reference(text)
         assert counting.call_count < 10
 
+    def test_one_character_tokens_are_not_recompressed(self):
+        # Every token ends at offset 1, so no code is left to count.  The
+        # input's last line is read on its own, and its one id per column is
+        # renumbered below the radix: the only counts.
+        text = "a,b\n" + "".join(f"{i % 3},{i % 10}\n" for i in range(2000))
+        with mock.patch.object(
+            tabulate, "_count_distinct", wraps=tabulate._count_distinct
+        ) as counting:
+            ds = _read_by("numpy", text)
+        assert ds == read_delimited_reference(text)
+        assert [call.args[0].size for call in counting.call_args_list] == [1, 1]
+
     def test_memory_is_a_few_arrays_per_field(self, tmp_path):
         # 200k rows of 5 one-character fields: 1M fields, 8 MB per int64
         # array over them.  The result itself holds 8 MB of codes.
