@@ -12,6 +12,10 @@ then over the processes of a tree):
     results       the rest of citest._results: building the TestResults
     other         the rest of the timed call (validation, grouping)
 
+and the minor page faults of a call (minflt: the process's getrusage
+ru_minflt over the untimed calls, divided by their number), where the
+platform counts them.
+
 The stages are timed in separate calls from the untimed ones, by wrappers
 swapped onto the module attributes, so the stages and other of a call add
 up to more than call by the wrappers' own cost.  log_sf's wrapper runs once
@@ -45,10 +49,22 @@ from time import perf_counter_ns
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 SHAPES = {f"hc{k}": (3, 4) + (4,) * k for k in range(6, 13)}
 SHAPES.update({"z2": (3, 4, 2), "z2x4": (3, 4, 2, 4), "z2x4x4": (3, 4, 2, 4, 4)})
 SHAPES["screen"] = (3, 4, 2, 2, 3, 4, 4, 2, 3) * 3 + (3, 4, 4)
 STAGES = ("call", "strata_code", "cells", "closed_form", "log_sf", "results", "other")
+
+
+def _minor_faults() -> int | None:
+    """The process's minor page faults so far, or None where they are not counted."""
+    if resource is None:
+        return None
+    return getattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt", None)
 
 
 def _child(src: str, shape: str, rows: int, calls: int) -> None:
@@ -81,7 +97,10 @@ def _child(src: str, shape: str, rows: int, calls: int) -> None:
         return perf_counter_ns() - start
 
     run()
+    faults = _minor_faults()
     whole = [run() for _ in range(calls)]
+    if faults is not None:
+        faults = (_minor_faults() - faults) / calls
 
     spent = dict.fromkeys(STAGES[1:6], 0)
 
@@ -138,6 +157,8 @@ def _child(src: str, shape: str, rows: int, calls: int) -> None:
     ]
     row = {stage: statistics.median(ns) / 1e3 for stage, ns in per_call.items()}
     row["call"] = statistics.median(whole) / 1e3
+    if faults is not None:
+        row["minflt"] = faults
     print(json.dumps(row))
 
 
@@ -168,8 +189,9 @@ def main(argv=None) -> int:
         row = {"shape": shape, "rows": args.rows}
         for src, results in runs.items():
             row[src] = {
-                stage: round(statistics.median(res[stage] for res in results), 1)
-                for stage in STAGES
+                column: round(statistics.median(res[column] for res in results), 1)
+                for column in (*STAGES, "minflt")
+                if all(column in res for res in results)
             }
         print(json.dumps(row), flush=True)
     return 0

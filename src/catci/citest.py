@@ -17,7 +17,6 @@ are invariant under any relabeling of the variable levels.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -40,11 +39,19 @@ from .core import (
 _SERIES_MAX_TERMS = 100_000
 _CF_MAX_TERMS = 100_000
 
-# _closed_form folds the cells that add exactly nothing to G² when they are
-# more than this share of a stack; either way the sums are the same.  Folding
+# After the terms, _closed_form folds the cells that add exactly nothing to
+# G² when they and the lone cells it folded before the marginals are more
+# than this share of a stack; either way the sums are the same.  Folding
 # costs about 10 µs a stack and pays from a share of about 0.1-0.25 on
 # tables of 300-10k cells; smaller tables need a larger share.
 _FOLD_SHARE = 0.5
+
+# Before the marginals, _closed_form looks for the cells alone in their
+# stratum only where its strata hold fewer than this many cells on average.
+# Stacks of a few full strata, such as the paper's grid or a screen given one
+# Z column, thus skip the search (two compares a cell) at the cost of one
+# integer comparison.
+_LONE_STRATA = 2
 
 
 def _cells(
@@ -323,6 +330,23 @@ def _erfcx(y: float, y2: float) -> float:
     return erfcx / (y * math.sqrt(math.pi))
 
 
+def _unfolded(
+    cells: tabulate.OccupiedCells, keep: np.ndarray, count: np.ndarray
+) -> tuple[tuple[int, ...], list[int]]:
+    """Table bounds among a stack's unfolded cells, and each table's folded count.
+
+    ``keep`` holds the positions of the unfolded cells in the stack, in
+    order, and ``count`` their counts.  Every table counts all the rows, so
+    its folded cells hold ``cells.total`` less its unfolded ones.
+    """
+    bounds = np.searchsorted(keep, cells.bounds)
+    full = bounds[1:] > bounds[:-1]
+    kept = np.zeros(full.size, dtype=np.int64)
+    # np.add.reduceat would give a table with no cells left the next one's first count.
+    kept[full] = np.add.reduceat(count, bounds[:-1][full])
+    return tuple(bounds.tolist()), (cells.total - kept).tolist()
+
+
 def _closed_form(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
     """G² and χ² of every table in a stack, from marginals derived from its cells.
 
@@ -331,34 +355,53 @@ def _closed_form(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
     occupied cells enter that sum.  The terms of the whole stack come from
     one vectorised pass; each table's are then summed exactly, so its
     statistics do not depend on the other tables in the stack.  A cell
-    whose terms come out as exactly 0 and exactly N (one X or one Y level in
-    its stratum, say) adds nothing to the G² sum and N to the other; when
-    such cells are most of the stack, each table's are summed as one exact
-    integer term, which leaves the correctly rounded sums unchanged.
+    whose terms are exactly 0 and exactly N adds nothing to the G² sum and
+    N to the other, so each table's such cells can enter its sums as one
+    exact integer term, which leaves the correctly rounded sums unchanged.
+    Two kinds are folded.  A cell alone in its stratum has E = N; where the
+    stack has fewer than ``_LONE_STRATA`` cells a stratum, these are found
+    from the strata of their neighbours and folded before the marginals, so
+    marginals, terms and sums cover only strata of two or more cells.  Then
+    a cell whose terms came out as 0 and N (one X or one Y level in its
+    stratum, say) is folded when such cells and the lone ones are more than
+    ``_FOLD_SHARE`` of the stack.
     """
     dx, dy = cells.dims_xy
-    n = cells.count.astype(np.float64)
-    xz = cells.stratum * dx + cells.x
-    yz = cells.stratum * dy + cells.y
+    count, x, y, stratum = cells.count, cells.x, cells.y, cells.stratum
+    size = count.size
+    keep = None  # the positions of the unfolded cells, once any are folded
+    # Cells are sorted by stratum and no stratum spans two tables, so a cell
+    # is alone in its stratum when both its neighbours lie in others.
+    if size < _LONE_STRATA * cells.n_strata * (len(cells.bounds) - 1):
+        head = np.ones(size + 1, dtype=bool)  # where a stratum's first cell is
+        np.not_equal(stratum[1:], stratum[:-1], out=head[1:-1])
+        lone = head[:-1] & head[1:]
+        if lone.any():
+            keep = np.flatnonzero(~lone)
+            count, x, y = count[keep], x[keep], y[keep]
+            # Strata renumbered from 0, so the marginals span only those left.
+            stratum = np.cumsum(head[keep]) - 1
+    n = count.astype(np.float64)
+    xz = stratum * dx + x
+    yz = stratum * dy + y
     n_xz = np.bincount(xz, weights=n)
     n_yz = np.bincount(yz, weights=n)
-    n_z = np.bincount(cells.stratum, weights=n)
-    e = n_xz[xz] * n_yz[yz] / n_z[cells.stratum]
+    n_z = np.bincount(stratum, weights=n)
+    e = n_xz[xz] * n_yz[yz] / n_z[stratum]
     g2 = 2.0 * n * np.log(n / e)
     chi2 = n * n / e
-    bounds = cells.bounds
-    folded = []
-    # Only a cell with a zero G² term can fold, and counting those is cheap.
+    # Only a cell with a zero G² term can fold, and counting those is cheap;
+    # the lone cells, folded already, count towards the share.
     # (int(): comparing a numpy integer with a float costs microseconds.)
-    if g2.size - int(np.count_nonzero(g2)) > _FOLD_SHARE * g2.size:
+    if size - int(np.count_nonzero(g2)) > _FOLD_SHARE * size:
         fold = (g2 == 0.0) & (chi2 == n)
-        if int(np.count_nonzero(fold)) > _FOLD_SHARE * fold.size:
-            keep = ~fold
-            starts = bounds[:-1]
-            folded = np.add.reduceat(cells.count * fold, starts).tolist()
-            kept = np.add.reduceat(keep, starts, dtype=np.int64).tolist()
-            bounds = (0, *itertools.accumulate(kept))
-            g2, chi2 = g2[keep], chi2[keep]
+        if size - g2.size + int(np.count_nonzero(fold)) > _FOLD_SHARE * size:
+            rest = np.flatnonzero(~fold)
+            g2, chi2, count = g2[rest], chi2[rest], count[rest]
+            keep = rest if keep is None else keep[rest]
+    bounds, folded = cells.bounds, []
+    if keep is not None:
+        bounds, folded = _unfolded(cells, keep, count)
     g2_terms = g2.tolist()
     chi2_terms = chi2.tolist()
     if len(bounds) == 2:  # one table: sum the whole lists, not copies
@@ -375,7 +418,8 @@ def _ipf(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
 
     Both classes of the model contain Z, so fitting over the occupied strata
     alone leaves the fit unchanged.  A stack with one X or one Y level
-    yields zeros unfitted; a fit that does not converge is a ``DataError``.
+    yields zeros unfitted.  A table too large to fit or a fit that does not
+    converge is a ``DataError`` whose ``table`` is the table's index.
     """
     n_tables = len(cells.bounds) - 1
     if 1 in cells.dims_xy:
@@ -383,9 +427,13 @@ def _ipf(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
     model = loglinear.ci_model(1)
     stats = []
     for k in range(n_tables):
-        fit = loglinear.ipf_fit(cells.as_table(k), model)
-        if not fit.converged:
-            raise DataError(f"ipf fit did not converge within {fit.iterations} iterations")
+        try:
+            fit = loglinear.ipf_fit(cells.as_table(k), model)
+            if not fit.converged:
+                raise DataError(f"ipf fit did not converge within {fit.iterations} iterations")
+        except DataError as err:
+            err.table = k
+            raise
         stats.append((fit.deviance, fit.pearson))
     return stats
 
@@ -410,7 +458,7 @@ def _results(
         free = (dx - 1) * (dy - 1)
         g2, chi2 = pair if free else (0.0, 0.0)
         used = free * (n_strata if adjust_dof else strata_nominal)
-        results.append(TestResult(
+        results.append(TestResult._trusted(
             g2=g2,
             chi2=chi2,
             dof=free * strata_nominal,
@@ -425,14 +473,25 @@ def _results(
 
 
 def _screen(
-    data: Dataset, cs: tuple[int, ...], specs: list[TestSpec], method: str, adjust_dof: bool
+    data: Dataset, specs: list[TestSpec], members: list[int], method: str, adjust_dof: bool
 ) -> list[TestResult]:
-    """Results, in order, of ``specs`` that all condition on ``cs``."""
+    """Results, in order, of the ``specs`` at ``members``, which share one conditioning set.
+
+    A ``DataError`` from the statistics gets the position in ``specs`` of
+    the pair it arose on as its ``pair``.
+    """
     statistics = _ROUTES[method]
+    cs = specs[members[0]].cs
     strata_nominal = math.prod([data.levels(c) for c in cs])
-    tables: list = [None] * len(specs)
-    for positions, cells in tabulate.stacked_cells(data, cs, [(s.x, s.y) for s in specs]):
-        for k, stats in zip(positions, statistics(cells)):
+    tables: list = [None] * len(members)
+    pairs = [(specs[i].x, specs[i].y) for i in members]
+    for positions, cells in tabulate.stacked_cells(data, cs, pairs):
+        try:
+            stack = statistics(cells)
+        except DataError as err:
+            err.pair = members[positions[err.table]]
+            raise
+        for k, stats in zip(positions, stack):
             tables[k] = (cells.dims_xy, cells.n_strata, stats)
     return _results(tables, strata_nominal, method, adjust_dof)
 
@@ -446,14 +505,13 @@ def _run(data: Dataset, specs: list[TestSpec], method: str, adjust_dof: bool) ->
     if specs and data.n_rows == 0:
         raise DataError("dataset is empty")
     if len(specs) == 1:
-        return _screen(data, specs[0].cs, specs, method, adjust_dof)
+        return _screen(data, specs, [0], method, adjust_dof)
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault(spec.cs, []).append(i)
     results: list[TestResult | None] = [None] * len(specs)
-    for cs, members in groups.items():
-        group = _screen(data, cs, [specs[i] for i in members], method, adjust_dof)
-        for i, result in zip(members, group):
+    for members in groups.values():
+        for i, result in zip(members, _screen(data, specs, members, method, adjust_dof)):
             results[i] = result
     return results
 
@@ -499,7 +557,8 @@ def batch_screen(
     ``workers`` and of which specs are batched together: with ``workers``
     above 1, capped at the number of specs and of CPUs, each thread runs
     one chunk of consecutive specs on the shared read-only dataset.  The
-    ipf route runs in the calling thread whatever ``workers`` is.
+    ipf route runs in the calling thread whatever ``workers`` is; a
+    ``DataError`` from one of its fits names the pair, as a bad spec does.
     """
     _check_method(method)
     pairs = list(pairs)
@@ -511,7 +570,12 @@ def batch_screen(
 
     workers = min(workers, len(pairs), os.cpu_count() or 1)
     if workers <= 1 or method == "ipf":  # ipf's fits hold the GIL: threads only add cost
-        return _run(data, pairs, method, adjust_dof)
+        try:
+            return _run(data, pairs, method, adjust_dof)
+        except DataError as err:
+            if not hasattr(err, "pair"):
+                raise
+            raise DataError(f"pair {err.pair}: {err}") from None
 
     size = math.ceil(len(pairs) / workers)
     chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]

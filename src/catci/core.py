@@ -319,6 +319,30 @@ class TestResult:
         if self.dof_adjusted > self.dof:
             raise ValueError("adjusted dof cannot exceed nominal dof")
 
+    @classmethod
+    def _trusted(
+        cls, g2: float, chi2: float, dof: int, dof_adjusted: int, log_p_g2: float,
+        log_p_chi2: float, empty_strata: int, method: str, degenerate: bool,
+    ) -> "TestResult":
+        """A result built without ``__post_init__``'s checks.
+
+        For the test kernels, whose statistics, log p-values, dofs and
+        method tags already satisfy them.  The fields are set one by one, as
+        ``__init__`` does: a whole ``__dict__`` would take twice the memory.
+        """
+        result = cls.__new__(cls)
+        set_field = object.__setattr__
+        set_field(result, "g2", g2)
+        set_field(result, "chi2", chi2)
+        set_field(result, "dof", dof)
+        set_field(result, "dof_adjusted", dof_adjusted)
+        set_field(result, "log_p_g2", log_p_g2)
+        set_field(result, "log_p_chi2", log_p_chi2)
+        set_field(result, "empty_strata", empty_strata)
+        set_field(result, "method", method)
+        set_field(result, "degenerate", degenerate)
+        return result
+
 
 @dataclass(frozen=True)
 class LogLinearModel:

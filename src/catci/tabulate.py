@@ -64,11 +64,12 @@ class OccupiedCells:
     """The occupied cells of ``(x, y | Z)`` tables that share Z, ``|X|`` and ``|Y|``.
 
     Table ``k`` owns cells ``bounds[k]:bounds[k + 1]``.  Every table has the
-    same ``n_strata`` strata, the Z combinations that occur in the rows.
-    Cell ``i`` holds ``count[i]`` rows with codes ``x[i]``, ``y[i]`` in
-    stratum ``stratum[i]``.  Strata are numbered from 0 across the stack,
-    table by table and within a table in lexicographic order of their codes;
-    cells are sorted by ``(stratum, x, y)``.  A single pair tabulated by
+    same ``n_strata`` strata, the Z combinations that occur in the rows, and
+    counts all ``total`` rows.  Cell ``i`` holds ``count[i]`` rows with
+    codes ``x[i]``, ``y[i]`` in stratum ``stratum[i]``.  Strata are numbered
+    from 0 across the stack, table by table and within a table in
+    lexicographic order of their codes; cells are sorted by
+    ``(stratum, x, y)``.  A single pair tabulated by
     :func:`stacked_cells` gives a stack of one table.
     """
 
@@ -177,8 +178,11 @@ def _stack(
     dx, dy = dims_xy
     index = parts[0] if len(parts) == 1 else np.concatenate(parts)
     count = counts[0] if len(counts) == 1 else np.concatenate(counts)
-    index, ys = np.divmod(index, dy)
-    index, xs = np.divmod(index, dx)
+    # Floor division and a multiply-subtract split the ids faster than divmod.
+    rest = index // dy
+    ys = index - rest * dy
+    index = rest // dx
+    xs = rest - index * dx
     # index is now each cell's stratum offset by its table, sorted, so each
     # stratum is one run.  Every table has the same strata, those of the rows,
     # so each holds an equal share of the runs.

@@ -18,7 +18,15 @@ from catci.citest import (
     g2_statistic,
     log_sf_chisq,
 )
-from catci.core import CategoricalColumn, DataError, Dataset, SpecError, TestSpec
+from catci.core import (
+    METHODS,
+    CategoricalColumn,
+    DataError,
+    Dataset,
+    SpecError,
+    TestResult,
+    TestSpec,
+)
 from catci.loglinear import ipf_fit
 from catci.tabulate import build_table, expected_ci, slice_marginals, table_from_counts
 
@@ -654,6 +662,60 @@ class TestFoldedSums:
                 assert citest._closed_form(cells) == reference
 
 
+    @pytest.mark.parametrize("share", [0.0, citest._FOLD_SHARE])
+    @pytest.mark.parametrize("lone_strata", [0, citest._LONE_STRATA, math.inf])
+    @given(case=singleton_strata())
+    def test_single_tables_on_either_side_of_the_lone_gate(self, lone_strata, share, case):
+        # 0 never looks for lone cells, inf always does.
+        data, spec = case
+        ((_, cells),) = tabulate.stacked_cells(data, spec.cs, [(spec.x, spec.y)])
+        with mock.patch.object(citest, "_LONE_STRATA", lone_strata), \
+                mock.patch.object(citest, "_FOLD_SHARE", share):
+            assert citest._closed_form(cells) == closed_form_unfolded(cells)
+
+    @pytest.mark.parametrize("share", [0.0, citest._FOLD_SHARE])
+    @pytest.mark.parametrize("lone_strata", [0, citest._LONE_STRATA, math.inf])
+    @given(case=folding_stacks())
+    def test_stacks_on_either_side_of_the_lone_gate(self, lone_strata, share, case):
+        data, cs, pairs = case
+        with mock.patch.object(citest, "_LONE_STRATA", lone_strata), \
+                mock.patch.object(citest, "_FOLD_SHARE", share), \
+                mock.patch.object(tabulate, "_STACK_ROWS", len(pairs)):
+            for _, cells in tabulate.stacked_cells(data, cs, pairs):
+                assert citest._closed_form(cells) == closed_form_unfolded(cells)
+
+    def test_tables_emptied_by_the_lone_fold(self):
+        # Strata 0-19 hold one row each, strata 20 and 21 twenty rows each.
+        # T, U and V follow Z, so every cell of (T, U) and (V, T) is alone in
+        # its stratum; the heavy strata's (T, A) cells have one T level each
+        # and fold after the terms; (A, B) keeps a positive G².  The stack
+        # starts and ends with a table that the lone fold empties.
+        z = np.concatenate([np.arange(20), np.repeat([20, 21], 20)])
+        heavy = np.concatenate([np.zeros(20, dtype=np.int64), np.tile(np.arange(20), 2)])
+        columns = (
+            CategoricalColumn("Z", 22, z),
+            CategoricalColumn("T", 3, z % 3),
+            CategoricalColumn("U", 3, (z + 1) % 3),
+            CategoricalColumn("A", 3, heavy % 3),
+            CategoricalColumn("B", 3, heavy // 3 % 3),
+            CategoricalColumn("V", 3, (z + 2) % 3),
+        )
+        data = Dataset(z.size, columns)
+        pairs = [(1, 2), (1, 3), (3, 4), (5, 1)]
+        with mock.patch.object(tabulate, "_STACK_ROWS", len(pairs)):  # one stack of all
+            ((positions, cells),) = tabulate.stacked_cells(data, (0,), pairs)
+        assert positions == [0, 1, 2, 3]
+        sizes = np.diff(cells.bounds)
+        assert sizes.tolist() == [22, 20 + 2 * 3, 20 + 2 * 9, 22]
+        assert sizes.sum() < citest._LONE_STRATA * len(pairs) * cells.n_strata
+        _, runs = np.unique(cells.stratum, return_counts=True)
+        lone = np.split(np.repeat(runs == 1, runs), cells.bounds[1:-1])
+        assert [table.sum() for table in lone] == [22, 20, 20, 22]
+        reference = closed_form_unfolded(cells)
+        assert reference[1] == (0.0, 0.0) and reference[2][0] > 0.0
+        assert citest._closed_form(cells) == reference
+
+
 class TestBatchScreen:
     def test_singleton_equals_ci_test(self, small_dataset):
         spec = TestSpec(0, 1, (2,))
@@ -754,6 +816,54 @@ class TestBatchScreen:
         assert [call.args for call in tail.call_args_list] == [
             (stat, r.dof) for r in results if not r.degenerate for stat in (r.g2, r.chi2)
         ]
+
+    def test_ipf_data_error_names_its_pair(self, rng):
+        # Given column 2 an ipf table has 27 cells, over a cap of 20; the
+        # unconditional pair's 9 fit.
+        data = make_dataset(rng, 300, (3, 3, 3))
+        pairs = [TestSpec(0, 1), TestSpec(1, 0), TestSpec(0, 1, (2,)), TestSpec(1, 0)]
+        with mock.patch.object(tabulate, "_TABLE_CELLS", 20):
+            with pytest.raises(DataError, match=r"^pair 2: table with 27 cells exceeds the 20-cell"):
+                batch_screen(data, pairs, method="ipf")
+            with pytest.raises(DataError, match=r"^table with 27 cells exceeds the 20-cell"):
+                ci_test(data, pairs[2], method="ipf")
+        real_fit = ipf_fit
+
+        def stalled(table, model):
+            fit = real_fit(table, model)
+            return dataclasses.replace(fit, converged=table.dims[2:] == (1,))
+
+        with mock.patch("catci.loglinear.ipf_fit", stalled):
+            with pytest.raises(DataError, match=r"^pair 2: ipf fit did not converge"):
+                batch_screen(data, pairs, method="ipf")
+            with pytest.raises(DataError, match=r"^ipf fit did not converge"):
+                ci_test(data, pairs[2], method="ipf")
+
+    def test_trusted_results_equal_validated_ones(self, rng):
+        data = make_dataset(rng, 300, (1, 3, 4, 2, 25))
+        pairs = [TestSpec(x, y, cs) for cs in ((), (3,), (3, 4))
+                 for x, y in itertools.combinations([c for c in range(5) if c not in cs], 2)]
+        for method, adjust_dof in itertools.product(METHODS, (False, True)):
+            trusted = batch_screen(data, pairs, method=method, adjust_dof=adjust_dof)
+            with mock.patch.object(TestResult, "_trusted", TestResult):
+                validated = batch_screen(data, pairs, method=method, adjust_dof=adjust_dof)
+            assert trusted == validated
+            assert [vars(r) for r in trusted] == [vars(r) for r in validated]
+            assert [list(map(type, dataclasses.astuple(r))) for r in trusted] == [
+                list(map(type, dataclasses.astuple(r))) for r in validated
+            ]
+        # Set field by field, a trusted result takes no more memory than a validated one.
+        fields = dataclasses.asdict(trusted[0])
+        held = []
+        for build in (TestResult, TestResult._trusted):
+            tracemalloc.start()
+            try:
+                results = [build(**fields) for _ in range(1000)]
+                held.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert results[0] == trusted[0]
+        assert held[1] <= held[0]
 
     def test_options_forwarded(self, rng):
         data = make_dataset(rng, 200, (3, 3, 2))

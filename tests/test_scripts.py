@@ -10,6 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -26,9 +31,12 @@ def test_kernel_stages():
     assert [row["shape"] for row in rows] == ["z2", "screen"]
     for row in rows:
         stages = row["src"]
+        # Minor page faults per call, where the platform counts them.
+        faults = {"minflt"} if resource else set()
         assert set(stages) == {"call", "strata_code", "cells", "closed_form", "log_sf",
-                               "results", "other"}
+                               "results", "other"} | faults
         assert stages["call"] > 0 and stages["log_sf"] > 0
+        assert stages.get("minflt", 0) >= 0
 
 
 def test_reader_shapes(tmp_path):
