@@ -156,24 +156,3 @@ def emit_report(records: Sequence[BenchRecord], format: str = "tsv") -> str:
     lines = [fmt(header), "| " + " | ".join("-" * w for w in widths) + " |"]
     lines += [fmt(row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> list[BenchRecord]:
-    """Inverse of the TSV format of :func:`emit_report`."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0].split("\t") != ["scenario", "n", "T", "method", "mean_seconds", "normalized"]:
-        raise ValueError("not a benchmark TSV report")
-    out = []
-    for ln in lines[1:]:
-        scenario, n, tests, method, mean_seconds, normalized = ln.split("\t")
-        out.append(
-            BenchRecord(
-                scenario=scenario,
-                n=int(n),
-                tests=int(tests),
-                method=method,
-                mean_seconds=float(mean_seconds),
-                normalized=float(normalized),
-            )
-        )
-    return out

@@ -29,6 +29,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an array, or a ``DataError`` naming ``what`` unless they are whole numbers.
+
+    Integer and bool arrays pass as they are; a floating array passes when
+    every value is integral and within int64's range, so NaN and infinities
+    do not.  Anything else (text, objects) is refused: nothing is silently
+    truncated or parsed.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biu" or (
+        arr.dtype.kind == "f" and np.all(np.abs(arr) < 2.0**63) and np.all(arr == np.trunc(arr))
+    ):
+        return arr
+    raise DataError(f"{what} must be integers")
+
+
 @dataclass(frozen=True, eq=False)
 class CategoricalColumn:
     """One categorical variable, integer-coded.
@@ -51,7 +67,9 @@ class CategoricalColumn:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        codes = np.array(self.codes, dtype=np.int64, copy=True)
+        codes = np.array(
+            _integers(self.codes, f"column {self.name!r}: codes"), dtype=np.int64, copy=True
+        )
         if codes.ndim != 1:
             raise DataError(f"column {self.name!r}: codes must be one-dimensional")
         object.__setattr__(self, "codes", _freeze(codes))
@@ -108,14 +126,8 @@ class CategoricalColumn:
         codes = np.fromiter(map(lut.__getitem__, tokens), np.int64, count=len(tokens))
         return cls(name=name, levels=len(labels), codes=codes, labels=labels)
 
-    def token(self, code: int) -> str:
-        """Original label for ``code`` (its decimal string when unlabeled)."""
-        if self.labels is not None:
-            return self.labels[code]
-        return str(code)
-
     def tokens(self) -> list[str]:
-        """Per-row tokens, decoding each code through :meth:`token`."""
+        """Per-row tokens: each code's label, or its decimal string when unlabeled."""
         if self.labels is not None:
             lut = np.asarray(self.labels, dtype=object)
             return list(lut[self.codes])
@@ -241,7 +253,7 @@ class ContingencyTable:
             raise DataError(f"table dims must be >= 1, got {self.dims}")
         if self.dense is None:
             raise DataError("table needs dense storage, got None")
-        dense = np.ascontiguousarray(self.dense, dtype=np.int64)
+        dense = np.ascontiguousarray(_integers(self.dense, "cell counts"), dtype=np.int64)
         if dense.shape != (self.n_cells,):
             raise DataError(
                 f"dense storage has {dense.size} cells, dims {self.dims} need {self.n_cells}"
@@ -255,19 +267,6 @@ class ContingencyTable:
     @property
     def n_cells(self) -> int:
         return math.prod(self.dims)
-
-    def count_at(self, coords: Sequence[int]) -> int:
-        """Cell count at one coordinate tuple (slow; for small tables/tests)."""
-        if len(coords) != len(self.dims):
-            raise DataError(f"expected {len(self.dims)} coordinates, got {len(coords)}")
-        flat = 0
-        stride = 1
-        for v, d in zip(coords, self.dims):
-            if not 0 <= v < d:
-                raise DataError(f"coordinate {v} out of range [0, {d})")
-            flat += stride * int(v)
-            stride *= d
-        return int(self.dense[flat])
 
     def as_array(self) -> np.ndarray:
         """Counts as an ndarray shaped ``dims``."""

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ContingencyTable, DataError, Dataset, SpecError, _freeze
+from .core import ContingencyTable, DataError, Dataset, SpecError, _freeze, _integers
 
 # Stacked cell ids beyond this range would overflow int64 arithmetic.
 _MAX_CELLS = 1 << 62
@@ -314,15 +314,8 @@ def build_table(data: Dataset, variables: Sequence[int]) -> ContingencyTable:
 
 def table_from_counts(counts: np.ndarray | Sequence) -> ContingencyTable:
     """Wrap an explicit count array (indexed ``[x, y, z...]``) as a table."""
-    arr = np.asarray(counts)
-    if np.issubdtype(arr.dtype, np.floating):
-        if not np.all(arr == np.floor(arr)):
-            raise DataError("cell counts must be integers")
-        arr = arr.astype(np.int64)
-    if arr.ndim == 0:
-        flat = arr.reshape(1).astype(np.int64)
-        return ContingencyTable(dims=(), total=int(flat[0]), dense=flat)
-    flat = np.asarray(arr, dtype=np.int64).ravel(order="F")
+    arr = _integers(counts, "cell counts")
+    flat = np.asarray(arr, dtype=np.int64).ravel(order="F")  # a scalar gives one cell
     return ContingencyTable(dims=arr.shape, total=int(flat.sum()), dense=flat)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -144,14 +145,8 @@ def temme_coefficients(lengths):
     return [row[:n] for row, n in zip(rows, lengths)]
 
 
-def ci_occupied_bruteforce(data, spec):
-    """G², χ², dof, adjusted dof and empty strata of ``spec`` by dict loops.
-
-    Rows are counted into (x, y, z-tuple) cells; each occupied stratum then
-    visits only the x and y levels it contains, so the nominal cell space
-    never appears and any number of conditioning columns is fine.  χ² sums
-    (N - E)² / E over every cell with E > 0, empty ones included.
-    """
+def _slice_counts(data, spec):
+    """Row-by-row counts of ``spec``'s (x, y, z-tuple) cells and their slice marginals."""
     cell, n_xz, n_yz, n_z = {}, {}, {}, {}
     for r in range(data.n_rows):
         x = int(data.columns[spec.x].codes[r])
@@ -161,6 +156,18 @@ def ci_occupied_bruteforce(data, spec):
         n_xz[(x, z)] = n_xz.get((x, z), 0) + 1
         n_yz[(y, z)] = n_yz.get((y, z), 0) + 1
         n_z[z] = n_z.get(z, 0) + 1
+    return cell, n_xz, n_yz, n_z
+
+
+def ci_occupied_bruteforce(data, spec):
+    """G², χ², dof, adjusted dof and empty strata of ``spec`` by dict loops.
+
+    Rows are counted into (x, y, z-tuple) cells; each occupied stratum then
+    visits only the x and y levels it contains, so the nominal cell space
+    never appears and any number of conditioning columns is fine.  χ² sums
+    (N - E)² / E over every cell with E > 0, empty ones included.
+    """
+    cell, n_xz, n_yz, n_z = _slice_counts(data, spec)
     xs_in = {z: [x for (x, zz) in n_xz if zz == z] for z in n_z}
     ys_in = {z: [y for (y, zz) in n_yz if zz == z] for z in n_z}
     g2_terms, chi2_terms = [], []
@@ -245,11 +252,27 @@ def read_delimited_reference(text, *, delimiter=",", has_header=True):
     return Dataset(n_rows=len(rows), columns=tuple(columns))
 
 
+def chi2_exact(data, spec):
+    """χ² of ``spec`` on ``data`` in exact rational arithmetic, as a ``Fraction``.
+
+    Sums (N - E)² / E over every cell of every occupied stratum, which
+    equals Σ N²·N_z / (N_xz·N_yz) - n over the occupied cells.
+    """
+    cell, n_xz, n_yz, n_z = _slice_counts(data, spec)
+    total = Fraction(0)
+    for (x, zx), nx in n_xz.items():
+        for (y, zy), ny in n_yz.items():
+            if zx == zy:
+                e = Fraction(nx * ny, n_z[zx])
+                total += (cell.get((x, y, zx), 0) - e) ** 2 / e
+    return total
+
+
 def closed_form_unfolded(cells):
     """Each table's G² and χ² from an ``OccupiedCells`` stack, nothing folded.
 
     The per-cell terms come from the same float operations as the kernel's;
-    every cell's G² and N²/E term then enters one ``math.fsum`` per table.
+    every cell's G² and N²/E - N term then enters one ``math.fsum`` per table.
     """
     dx, dy = cells.dims_xy
     n = cells.count.astype(np.float64)
@@ -260,9 +283,9 @@ def closed_form_unfolded(cells):
     n_z = np.bincount(cells.stratum, weights=n)
     e = n_xz[xz] * n_yz[yz] / n_z[cells.stratum]
     g2 = (2.0 * n * np.log(n / e)).tolist()
-    chi2 = (n * n / e).tolist()
+    chi2 = (n * n / e - n).tolist()
     b = cells.bounds
     return [
-        (max(0.0, math.fsum(g2[i:j])), max(0.0, math.fsum(chi2[i:j]) - cells.total))
+        (max(0.0, math.fsum(g2[i:j])), max(0.0, math.fsum(chi2[i:j])))
         for i, j in zip(b, b[1:])
     ]

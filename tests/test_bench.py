@@ -4,7 +4,6 @@ from catci.bench import (
     BenchConfig,
     BenchRecord,
     emit_report,
-    parse_report,
     run_bench,
     scenario_id,
 )
@@ -91,6 +90,12 @@ class TestRunBench:
         assert 2.0 * 0.75 <= ratio <= 2.0 * 1.25
 
 
+def _tsv_rows(text):
+    header, *rows = (line.split("\t") for line in text.splitlines())
+    assert header == ["scenario", "n", "T", "method", "mean_seconds", "normalized"]
+    return rows
+
+
 class TestEmitReport:
     def _records(self):
         return [
@@ -99,23 +104,21 @@ class TestEmitReport:
         ]
 
     def test_tsv_sorted_and_parsable(self):
-        text = emit_report(self._records(), format="tsv")
-        lines = text.splitlines()
-        assert lines[0] == "scenario\tn\tT\tmethod\tmean_seconds\tnormalized"
-        assert lines[1].split("\t")[3] == "closed_form"  # sorted before ipf
-        parsed = parse_report(text)
-        assert [r.method for r in parsed] == ["closed_form", "ipf"]
-        assert parsed[1].normalized == pytest.approx(1.2345, abs=5e-4)
-        assert parsed[1].mean_seconds == pytest.approx(0.1234567, abs=5e-7)
+        rows = _tsv_rows(emit_report(self._records(), format="tsv"))
+        assert [row[3] for row in rows] == ["closed_form", "ipf"]  # closed_form sorted first
+        assert rows[1][4:] == ["0.123457", "1.234"]  # 6 and 3 decimals
+        assert float(rows[1][5]) == pytest.approx(1.2345, abs=5e-4)
+        assert float(rows[1][4]) == pytest.approx(0.1234567, abs=5e-7)
 
     def test_roundtrip_at_three_decimals(self):
         records = run_bench(_quick_config(test_counts=(2, 4)))
-        parsed = parse_report(emit_report(records))
+        rows = _tsv_rows(emit_report(records))
         originals = sorted(records, key=lambda r: (r.scenario, r.n, r.tests, r.method))
-        for got, want in zip(parsed, originals):
-            assert got.scenario == want.scenario
-            assert (got.n, got.tests, got.method) == (want.n, want.tests, want.method)
-            assert got.normalized == pytest.approx(want.normalized, abs=5e-4)
+        assert len(rows) == len(originals)
+        for got, want in zip(rows, originals):
+            assert got[0] == want.scenario
+            assert (int(got[1]), int(got[2]), got[3]) == (want.n, want.tests, want.method)
+            assert float(got[5]) == pytest.approx(want.normalized, abs=5e-4)
 
     def test_markdown_table(self):
         text = emit_report(self._records(), format="markdown")

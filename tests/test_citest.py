@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,7 @@ from catci.tabulate import build_table, expected_ci, slice_marginals, table_from
 
 from conftest import make_dataset, permute_column_levels
 from oracles import (
+    chi2_exact,
     ci_occupied_bruteforce,
     closed_form_unfolded,
     log_sf_gammainc,
@@ -612,9 +614,9 @@ def folding_stacks(draw):
 
 
 class TestFoldedSums:
-    """_closed_form folds the cells that add exactly 0 to G² and N to Σ N²/E;
-    its sums must equal, bit for bit, those over every cell, on either side
-    of the folding share."""
+    """_closed_form drops the cells with E = N, which add exactly 0 to both
+    sums; its sums must equal, bit for bit, those over every cell, on either
+    side of the lone-cell gate and of ``_FOLD_SHARE``."""
 
     @pytest.mark.parametrize("share", [0.0, citest._FOLD_SHARE, 1.0])
     @given(case=st.one_of(kernel_datasets(), singleton_strata()))
@@ -636,7 +638,7 @@ class TestFoldedSums:
                 assert citest._closed_form(cells) == closed_form_unfolded(cells)
 
     def test_stack_mixing_folded_and_unfolded_tables(self, rng):
-        # Every cell of a table with the tied column T or U folds, and they
+        # Every cell of a table with the tied column T or U is dropped, and they
         # hold most of the stack's cells; the free pair (about 100 rows per
         # stratum) has a positive G².
         n = 400
@@ -714,6 +716,48 @@ class TestFoldedSums:
         reference = closed_form_unfolded(cells)
         assert reference[1] == (0.0, 0.0) and reference[2][0] > 0.0
         assert citest._closed_form(cells) == reference
+
+
+@st.composite
+def large_counts(draw):
+    """Up to 3000 rows in a few strata, so that cells hold hundreds of rows."""
+    n = draw(st.integers(100, 3000))
+    levels = draw(st.lists(st.sampled_from([2, 3, 4, 5]), min_size=2, max_size=4))
+    data = make_dataset(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, tuple(levels))
+    return data, TestSpec(0, 1, tuple(range(2, len(levels))))
+
+
+def _as_specs(case):
+    if len(case) == 2:  # a dataset and one spec
+        return case[0], [case[1]]
+    data, cs, pairs = case
+    return data, [TestSpec(x, y, cs) for x, y in pairs]
+
+
+class TestChi2Accuracy:
+    """The closed form's χ² against exact rational arithmetic.
+
+    E takes two roundings and N²/E a third, so each term N²/E - N is off by
+    about 3u·N²/E at most, u = 2⁻⁵³, and those N²/E sum to n + χ².  The
+    subtraction is exact where N²/E lies within a factor 2 of N.
+    """
+
+    @pytest.mark.parametrize("share", [0.0, 1.0])
+    @pytest.mark.parametrize("lone_strata", [0, math.inf])
+    @given(case=st.one_of(
+        kernel_datasets(), singleton_strata(), folding_stacks(), large_counts()
+    ).map(_as_specs))
+    def test_within_three_units_of_exact(self, lone_strata, share, case):
+        # lone_strata 0 never looks for lone cells, inf always does; share 0.0
+        # drops every cell with E = N once any G² term is 0, 1.0 never does.
+        data, specs = case
+        with mock.patch.object(citest, "_LONE_STRATA", lone_strata), \
+                mock.patch.object(citest, "_FOLD_SHARE", share), \
+                mock.patch.object(tabulate, "_STACK_ROWS", len(specs)):
+            results = batch_screen(data, specs)
+        for spec, result in zip(specs, results):
+            exact = chi2_exact(data, spec)
+            assert abs(Fraction(result.chi2) - exact) <= Fraction(3, 2**53) * (data.n_rows + exact)
 
 
 class TestBatchScreen:

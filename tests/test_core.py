@@ -53,6 +53,21 @@ class TestCategoricalColumn:
         col = CategoricalColumn("a", 2, np.array([0, 1]), labels=["p", "q"])
         assert col.labels == ("p", "q")
 
+    def test_fractional_codes_rejected(self):
+        with pytest.raises(DataError, match="'a': codes must be integers"):
+            CategoricalColumn("a", 2, np.array([0.4, 1.9, 0.0]))
+        assert CategoricalColumn("a", 2, np.array([0.0, 1.0, 0.0])).codes.tolist() == [0, 1, 0]
+        assert CategoricalColumn("a", 2, np.array([True, False])).codes.tolist() == [1, 0]
+
+    def test_text_codes_rejected(self):
+        with pytest.raises(DataError, match="codes must be integers"):
+            CategoricalColumn("a", 2, ["0", "1"])
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_code_rejected_without_a_warning(self):
+        with pytest.raises(DataError, match="codes must be integers"):
+            CategoricalColumn("a", 2, np.array([0.0, np.nan, 1.0]))
+
     def test_codes_are_immutable(self):
         col = CategoricalColumn("a", 2, np.array([0, 1]))
         with pytest.raises(ValueError):
@@ -68,7 +83,7 @@ class TestCategoricalColumn:
     @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=40))
     def test_factorize_roundtrip(self, tokens):
         col = CategoricalColumn.from_tokens("v", tokens)
-        assert [col.token(c) for c in col.codes] == tokens
+        assert [col.labels[c] for c in col.codes] == tokens
         assert col.tokens() == tokens
 
     @given(
@@ -163,14 +178,22 @@ class TestContingencyTable:
         with pytest.raises(DataError, match="negative"):
             ContingencyTable(dims=(2,), total=0, dense=np.array([1, -1]))
 
+    def test_fractional_counts_rejected(self):
+        with pytest.raises(DataError, match="cell counts must be integers"):
+            ContingencyTable(dims=(2,), total=1, dense=np.array([0.5, 1.0]))
+        with pytest.raises(DataError, match="cell counts must be integers"):
+            table_from_counts([[0.5, 1.0], [1.0, 2.0]])
+        table = ContingencyTable(dims=(2,), total=3, dense=np.array([1.0, 2.0]))
+        assert table.dense.tolist() == [1, 2]
+
     def test_exactly_one_storage(self):
         with pytest.raises(DataError, match="storage"):
             ContingencyTable(dims=(2,), total=2, dense=None)
 
-    def test_count_at_and_as_array(self):
+    def test_as_array(self):
         t = ContingencyTable(dims=(2, 2), total=4, dense=np.array([1, 2, 1, 0]))
         # flat layout: x fastest, so [x=1, y=0] is flat index 1
-        assert t.count_at((1, 0)) == 2
+        assert t.as_array()[1, 0] == 2
         assert t.as_array().tolist() == [[1, 1], [2, 0]]
 
     def test_tables_compare_equal_cellwise(self, rng):
@@ -179,7 +202,8 @@ class TestContingencyTable:
         arr = table.as_array()
         assert table == table_from_counts(arr)
         for coords in [(0, 0, 0), (2, 3, 1), (1, 2, 0)]:
-            assert table.count_at(coords) == arr[coords]
+            flat = np.ravel_multi_index(coords, table.dims, order="F")
+            assert table.dense[flat] == arr[coords]
         # Move one row to another cell: same dims and total, one cell differs.
         moved = arr.copy()
         src = np.unravel_index(np.flatnonzero(moved)[0], moved.shape)
