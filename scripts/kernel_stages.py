@@ -7,7 +7,10 @@ then over the processes of a tree):
     call          the whole call, untimed stages
     strata_code   tabulate._strata_code: the Z code of the rows
     cells         the rest of tabulate.stacked_cells: counting the cells
-    closed_form   citest._closed_form: marginals, terms and sums
+                  (tabulate._count_distinct) and splitting each into its
+                  stratum head and (x, y) code (tabulate._stack)
+    closed_form   citest._closed_form: the lone-cell drop, numbering the
+                  strata left, marginals, terms and sums
     log_sf        citest.log_sf_chisq: the p-values, one call a lane
     results       the rest of citest._results: building the TestResults
     other         the rest of the timed call (validation, grouping)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
@@ -122,10 +123,12 @@ def log_sf_chisq(stat: float, dof: int) -> float:
     each converging within a few hundred steps.  Against mpmath the absolute
     error in log p is at most about 1e-12 (relative where |log p| > 1) for
     any dof from 1 to 1e15 and any finite nonnegative statistic, and no such
-    input raises.
+    input raises.  A dof beyond float range (an integer too large for a
+    float, or infinity) gives 0.0 for any finite statistic: Q(a, x) rounds
+    to 1 there, x being at most half the largest float.
     """
-    if dof < 1:
-        raise ValueError("dof must be >= 1; degenerate tests map to p = 1 upstream")
+    if not dof >= 1:  # NaN fails this too
+        raise ValueError(f"dof must be >= 1, got {dof}; degenerate tests map to p = 1 upstream")
     stat = float(stat)
     if math.isnan(stat) or stat < 0:
         raise ValueError(f"statistic must be nonnegative, got {stat}")
@@ -133,6 +136,8 @@ def log_sf_chisq(stat: float, dof: int) -> float:
         return 0.0
     if math.isinf(stat):
         return -math.inf
+    if dof > sys.float_info.max:  # an int too large for a float, or infinity
+        return 0.0
     a = 0.5 * dof
     x = 0.5 * stat
     if a >= _TEMME_MIN_A:
@@ -336,36 +341,43 @@ def _closed_form(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
     Within a stratum the expectations sum to the observed total, so
     Σ (N - E)² / E over all cells with E > 0 equals Σ (N² / E - N) over the
     occupied cells alone.  The terms of the whole stack come from one
-    vectorised pass; each table's are then summed exactly, so its statistics
-    do not depend on the other tables in the stack.  A cell with E = N adds
+    vectorised pass; each table's are then summed exactly by ``math.fsum``,
+    read through memoryviews of the term arrays, so its statistics do not
+    depend on the other tables in the stack.  A cell with E = N adds
     exactly 0 to both sums, and dropping it leaves the correctly rounded
     sums unchanged, so such cells are dropped, by one rule, where they are
     many.  A cell alone in its stratum has E = N; where the stack has fewer
-    than ``_LONE_STRATA`` cells a stratum, these are found from the strata
-    of their neighbours and dropped before the marginals, so marginals,
-    terms and sums cover only strata of two or more cells.  The other cells
-    with E = N (one X or one Y level in their stratum, say) are dropped
-    after the terms when they and the lone ones are more than
+    than ``_LONE_STRATA`` cells a stratum, these are found from the
+    stratum heads of the stack and dropped before the marginals.  The
+    strata of the cells left are numbered only then, so numbering,
+    marginals, terms and sums cover only strata of two or more cells.  The
+    other cells with E = N (one X or one Y level in their stratum, say) are
+    dropped after the terms when they and the lone ones are more than
     ``_FOLD_SHARE`` of the stack.
     """
     dx, dy = cells.dims_xy
-    count, x, y, stratum = cells.count, cells.x, cells.y, cells.stratum
+    count, xy, head = cells.count, cells.xy, cells.head
+    first = head[:-1]  # where each stratum's first cell is
     size = count.size
     keep = None  # the positions of the cells left, once any are dropped
     # Cells are sorted by stratum and no stratum spans two tables, so a cell
-    # is alone in its stratum when both its neighbours lie in others.
+    # is alone in its stratum when both it and its successor head one.
     if size < _LONE_STRATA * cells.n_strata * (len(cells.bounds) - 1):
-        head = np.ones(size + 1, dtype=bool)  # where a stratum's first cell is
-        np.not_equal(stratum[1:], stratum[:-1], out=head[1:-1])
-        lone = head[:-1] & head[1:]
+        lone = first & head[1:]
         if lone.any():
-            keep = np.flatnonzero(~lone)
-            count, x, y = count[keep], x[keep], y[keep]
-            # Strata renumbered from 0, so the marginals span only those left.
-            stratum = np.cumsum(head[keep]) - 1
+            (keep,) = (~lone).nonzero()
+            if not keep.size:  # every cell alone: all sums are empty
+                return [(0.0, 0.0)] * (len(cells.bounds) - 1)
+            count, xy, first = count[keep], xy[keep], first[keep]
+    # Strata numbered from 1, so the marginals span only those left (and
+    # their bin 0 stays empty).
+    stratum = first.cumsum()
+    x_of, y_of = np.divmod(np.arange(dx * dy), dy)  # the x and y of each xy
     n = count.astype(np.float64)
-    xz = stratum * dx + x
-    yz = stratum * dy + y
+    xz = stratum * dx
+    xz += x_of[xy]
+    yz = stratum * dy
+    yz += y_of[xy]
     n_xz = np.bincount(xz, weights=n)
     n_yz = np.bincount(yz, weights=n)
     n_z = np.bincount(stratum, weights=n)
@@ -378,17 +390,15 @@ def _closed_form(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
     # the lone cells, dropped already, count towards the share.
     # (int(): comparing a numpy integer with a float costs microseconds.)
     if size - int(np.count_nonzero(g2)) > _FOLD_SHARE * size:
-        rest = np.flatnonzero(n != e)
+        (rest,) = (n != e).nonzero()
         g2, chi2 = g2[rest], chi2[rest]
         keep = rest if keep is None else keep[rest]
     bounds = cells.bounds if keep is None else np.searchsorted(keep, cells.bounds).tolist()
-    g2_terms = g2.tolist()
-    chi2_terms = chi2.tolist()
-    if len(bounds) == 2:  # one table: sum the whole lists, not copies
-        tables = [(g2_terms, chi2_terms)]
-    else:
-        tables = [(g2_terms[a:b], chi2_terms[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return [(max(0.0, math.fsum(g)), max(0.0, math.fsum(c))) for g, c in tables]
+    g2_terms, chi2_terms = memoryview(g2), memoryview(chi2)  # slices share the arrays
+    return [
+        (max(0.0, math.fsum(g2_terms[a:b])), max(0.0, math.fsum(chi2_terms[a:b])))
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def _ipf(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:

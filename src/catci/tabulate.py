@@ -29,7 +29,7 @@ from .core import ContingencyTable, DataError, Dataset, SpecError, _freeze, _int
 _MAX_CELLS = 1 << 62
 
 # Id spaces up to this multiple of the id count are counted with bincount and
-# a lookup table; wider ones are sorted by np.unique.
+# a lookup table; wider ones are sorted.
 _BINCOUNT_SPAN = 4
 
 # A stack of tables sharing a conditioning set holds at most this many cells
@@ -65,20 +65,24 @@ class OccupiedCells:
 
     Table ``k`` owns cells ``bounds[k]:bounds[k + 1]``.  Every table has the
     same ``n_strata`` strata, the Z combinations that occur in the rows, and
-    counts all ``total`` rows.  Cell ``i`` holds ``count[i]`` rows with
-    codes ``x[i]``, ``y[i]`` in stratum ``stratum[i]``.  Strata are numbered
-    from 0 across the stack, table by table and within a table in
-    lexicographic order of their codes; cells are sorted by
-    ``(stratum, x, y)``.  A single pair tabulated by
-    :func:`stacked_cells` gives a stack of one table.
+    counts all ``total`` rows.  Cell ``i`` holds ``count[i]`` rows with codes
+    ``xy[i] = x·|Y| + y``.  Cells are sorted by stratum, table by table and
+    within a table in lexicographic order of the strata's codes, then by
+    ``xy``; ``head[i]`` is True where cell ``i`` is the first of its stratum,
+    and ``head`` ends in one more True, so ``head[:-1] & head[1:]`` marks the
+    cells alone in their stratum.  :func:`_stack` splits each cell into its
+    stratum and ``xy`` once; the strata themselves are numbered only where
+    needed, by a running count of ``head``: :meth:`as_table` numbers those
+    of its table, the closed form only those of the cells it keeps.  A
+    single pair tabulated by :func:`stacked_cells` gives a stack of one
+    table.
     """
 
     dims_xy: tuple[int, int]
     n_strata: int
     bounds: tuple[int, ...]
-    x: np.ndarray
-    y: np.ndarray
-    stratum: np.ndarray
+    xy: np.ndarray
+    head: np.ndarray
     count: np.ndarray
     total: int
 
@@ -99,10 +103,19 @@ class OccupiedCells:
                 "the closed form tabulates the occupied cells only"
             )
         cells = slice(self.bounds[k], self.bounds[k + 1])
-        stratum = self.stratum[cells] - k * self.n_strata
+        stratum = np.cumsum(self.head[cells]) - 1  # a table starts a stratum
+        x, y = np.divmod(self.xy[cells], dy)
         dense = np.zeros(n_cells, dtype=np.int64)
-        dense[self.x[cells] + dx * (self.y[cells] + dy * stratum)] = self.count[cells]
+        dense[x + dx * (y + dy * stratum)] = self.count[cells]
         return ContingencyTable(dims=(dx, dy, self.n_strata), total=self.total, dense=dense)
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """True where a run of equal ``values`` starts, and once more past the end."""
+    head = np.empty(values.size + 1, dtype=bool)
+    head[0] = head[-1] = True
+    np.not_equal(values[1:], values[:-1], out=head[1:-1])
+    return head
 
 
 def _count_distinct(
@@ -111,8 +124,11 @@ def _count_distinct(
     """Sorted distinct values of ``ids`` (all in ``[0, space)``) and their counts.
 
     With ``inverse`` also returns each id's position among the distinct values.
-    Scratch beyond the result is one array over ``space`` (bincount), or
-    two arrays and a mask over ``ids`` (sort).
+    Id spaces up to ``_BINCOUNT_SPAN`` times the id count are counted by
+    bincount, with one scratch array over ``space``; wider ones are sorted.
+    Without ``inverse`` the sort is in place, so ``ids`` is left sorted and
+    the scratch is one mask over ``ids``; with it, ``ids`` is unchanged and
+    the scratch is two arrays and a mask over ``ids``.
     """
     if space <= _BINCOUNT_SPAN * ids.size:
         counts = np.bincount(ids, minlength=space)
@@ -123,8 +139,9 @@ def _count_distinct(
         counts[values] = np.arange(values.size)  # now each value's position
         return values, found, counts[ids]
     if not inverse:
-        values, counts = np.unique(ids, return_counts=True)
-        return values, counts, None
+        ids.sort()  # np.unique would sort a copy
+        (starts,) = _run_heads(ids).nonzero()
+        return ids[starts[:-1]], starts[1:] - starts[:-1], None
     order = np.argsort(ids)
     ranks = ids[order]
     head = np.ones(ids.size, dtype=bool)  # where a run of equal sorted ids starts
@@ -174,27 +191,28 @@ def _strata_code(
 def _stack(
     dims_xy: tuple[int, int], parts: list, counts: list, bounds: list[int], total: int
 ) -> OccupiedCells:
-    """Decompose the offset cell indices of one or more tables into a stack."""
+    """Split the offset cell indices of one or more tables into a stack.
+
+    Each index ``stratum·|X|·|Y| + xy`` is divided once; the strata are
+    only marked, where each run of equal stratum keys starts, and counted.
+    """
     dx, dy = dims_xy
     index = parts[0] if len(parts) == 1 else np.concatenate(parts)
     count = counts[0] if len(counts) == 1 else np.concatenate(counts)
     # Floor division and a multiply-subtract split the ids faster than divmod.
-    rest = index // dy
-    ys = index - rest * dy
-    index = rest // dx
-    xs = rest - index * dx
-    # index is now each cell's stratum offset by its table, sorted, so each
-    # stratum is one run.  Every table has the same strata, those of the rows,
-    # so each holds an equal share of the runs.
-    stratum = np.zeros(index.size, dtype=np.int64)
-    np.cumsum(index[1:] != index[:-1], out=stratum[1:])
+    key = index // (dx * dy)
+    xy = key * (dx * dy)
+    np.subtract(index, xy, out=xy)
+    # key is each cell's stratum offset by its table, sorted, so each stratum
+    # is one run.  Every table has the same strata, those of the rows, so
+    # each holds an equal share of the runs.
+    head = _run_heads(key)
     return OccupiedCells(
         dims_xy=dims_xy,
-        n_strata=(int(stratum[-1]) + 1) // len(parts) if stratum.size else 0,
+        n_strata=(int(np.count_nonzero(head)) - 1) // len(parts),
         bounds=tuple(bounds),
-        x=_freeze(xs),
-        y=_freeze(ys),
-        stratum=_freeze(stratum),
+        xy=_freeze(xy),
+        head=_freeze(head),
         count=_freeze(count.astype(np.int64, copy=False)),
         total=total,
     )
@@ -222,7 +240,8 @@ def stacked_cells(
     columns = data.columns
     if len(pairs) == 1:
         # One table is counted on its full (z, x, y) code, in the Z code's own
-        # array if any: _stack numbers its strata from the runs of that code.
+        # array if any (a sort reorders it in place): _stack marks its strata
+        # from the runs of that code.
         ((x, y),) = pairs
         code, radix = _strata_code(data, cs, _MAX_CELLS // (columns[x].levels * columns[y].levels))
         order = [0]

@@ -273,15 +273,18 @@ def closed_form_unfolded(cells):
 
     The per-cell terms come from the same float operations as the kernel's;
     every cell's G² and N²/E - N term then enters one ``math.fsum`` per table.
+    Strata are numbered from 0 across the stack, every one of them.
     """
     dx, dy = cells.dims_xy
     n = cells.count.astype(np.float64)
-    xz = cells.stratum * dx + cells.x
-    yz = cells.stratum * dy + cells.y
+    stratum = np.cumsum(cells.head[:-1]) - 1
+    x, y = np.divmod(cells.xy, dy)
+    xz = stratum * dx + x
+    yz = stratum * dy + y
     n_xz = np.bincount(xz, weights=n)
     n_yz = np.bincount(yz, weights=n)
-    n_z = np.bincount(cells.stratum, weights=n)
-    e = n_xz[xz] * n_yz[yz] / n_z[cells.stratum]
+    n_z = np.bincount(stratum, weights=n)
+    e = n_xz[xz] * n_yz[yz] / n_z[stratum]
     g2 = (2.0 * n * np.log(n / e)).tolist()
     chi2 = (n * n / e - n).tolist()
     b = cells.bounds

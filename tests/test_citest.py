@@ -172,6 +172,17 @@ class TestLogSfChisq:
         with pytest.raises(ValueError, match="dof"):
             log_sf_chisq(1.0, 0)
 
+    def test_nan_dof_is_error(self):
+        with pytest.raises(ValueError, match="dof must be >= 1, got nan"):
+            log_sf_chisq(1.0, math.nan)
+
+    @pytest.mark.parametrize("d", [6 * 4**511, 2**1024, math.inf], ids=["6*4**511", "2**1024", "inf"])
+    def test_dof_beyond_float_range(self, d):
+        # No finite statistic reaches such a dof: Q rounds to 1.
+        for stat in (1e-300, 1.0, 1e308):
+            assert log_sf_chisq(stat, d) == 0.0
+        assert log_sf_chisq(math.inf, d) == -math.inf
+
     def test_negative_stat_is_error(self):
         with pytest.raises(ValueError):
             log_sf_chisq(-0.5, 3)
@@ -613,6 +624,79 @@ def folding_stacks(draw):
     return Dataset(n, columns), tuple(range(len(z_levels))), pairs
 
 
+@st.composite
+def sorted_stacks(draw):
+    """A dataset, a conditioning set and pairs whose cells are counted by sorting.
+
+    Rows come in runs of one or two that share a stratum of two 25-level Z
+    columns, so a pair's code space, its strata times |X|·|Y| >= 9, exceeds
+    4·n whether Z is compressed (a stack) or not (a single pair).  Tied
+    columns follow the stratum, so a pair of them has every cell alone in
+    its stratum; the spread column numbers the rows of a run, so a pair
+    with it has no lone cell where every run has two rows; free columns are
+    drawn at random.  The rows are then shuffled, so only the sort brings
+    a stratum's cells together.
+    """
+    shape = draw(st.sampled_from(["lone", "pairs", "mixed"]))
+    n_runs = draw(st.integers(1, 40))
+    runs = {"lone": [1] * n_runs, "pairs": [2] * n_runs}.get(shape) or draw(
+        st.lists(st.integers(1, 2), min_size=n_runs, max_size=n_runs)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stratum = np.repeat(rng.choice(625, size=n_runs, replace=False), runs)
+    n = stratum.size
+    tied = draw(st.lists(st.sampled_from([3, 4]), min_size=1, max_size=2))
+    free = draw(st.lists(st.sampled_from([3, 4]), min_size=1, max_size=2))
+    codes = [stratum // 25, stratum % 25, np.concatenate([np.arange(r) for r in runs])]
+    codes += [(stratum * (j + 1) + j) % d for j, d in enumerate(tied)]
+    codes += [rng.integers(0, d, size=n) for d in free]
+    levels = [25, 25, 3] + tied + free
+    shuffle = rng.permutation(n)
+    columns = tuple(
+        CategoricalColumn(f"V{j}", d, c[shuffle], labels=tuple(map(str, range(d))))
+        for j, (d, c) in enumerate(zip(levels, codes))
+    )
+    pairs = list(itertools.combinations(range(2, len(levels)), 2))
+    return Dataset(n, columns), (0, 1), pairs
+
+
+def _sorted_counts_only():
+    """A patch of ``_count_distinct`` that fails unless every cell count sorts."""
+    count_distinct = tabulate._count_distinct
+
+    def checked(ids, space, **kwargs):
+        assert kwargs.get("inverse") or space > tabulate._BINCOUNT_SPAN * ids.size
+        return count_distinct(ids, space, **kwargs)
+
+    return mock.patch.object(tabulate, "_count_distinct", checked)
+
+
+class TestSortedCounts:
+    """Stacks and single pairs counted by sorting, with all-lone, no-lone
+    and mixed tables, against the unfolded sums, the batch of one and the
+    occupied-cells oracle."""
+
+    @pytest.mark.parametrize("lone_strata", [0, citest._LONE_STRATA, math.inf])
+    @given(case=sorted_stacks())
+    def test_stacks_equal_unfolded_sums(self, lone_strata, case):
+        data, cs, pairs = case
+        with _sorted_counts_only(), mock.patch.object(citest, "_LONE_STRATA", lone_strata), \
+                mock.patch.object(tabulate, "_STACK_ROWS", len(pairs)):
+            for _, cells in tabulate.stacked_cells(data, cs, pairs):
+                assert citest._closed_form(cells) == closed_form_unfolded(cells)
+
+    @given(case=sorted_stacks())
+    def test_batch_equals_single_tests_and_oracle(self, case):
+        data, cs, pairs = case
+        specs = [TestSpec(x, y, cs) for x, y in pairs]
+        with _sorted_counts_only():
+            batch = batch_screen(data, specs)
+            singles = [ci_test(data, spec) for spec in specs]
+        assert batch == singles
+        for spec, result in zip(specs, batch):
+            assert_matches_oracle(result, ci_occupied_bruteforce(data, spec))
+
+
 class TestFoldedSums:
     """_closed_form drops the cells with E = N, which add exactly 0 to both
     sums; its sums must equal, bit for bit, those over every cell, on either
@@ -710,8 +794,7 @@ class TestFoldedSums:
         sizes = np.diff(cells.bounds)
         assert sizes.tolist() == [22, 20 + 2 * 3, 20 + 2 * 9, 22]
         assert sizes.sum() < citest._LONE_STRATA * len(pairs) * cells.n_strata
-        _, runs = np.unique(cells.stratum, return_counts=True)
-        lone = np.split(np.repeat(runs == 1, runs), cells.bounds[1:-1])
+        lone = np.split(cells.head[:-1] & cells.head[1:], cells.bounds[1:-1])
         assert [table.sum() for table in lone] == [22, 20, 20, 22]
         reference = closed_form_unfolded(cells)
         assert reference[1] == (0.0, 0.0) and reference[2][0] > 0.0

@@ -209,6 +209,25 @@ class TestCmdTest:
         assert code == 3
         assert out == "" and "converge" in err
 
+    def test_dof_beyond_float_range(self, tmp_path, capsys):
+        # 511 four-level Z columns, each constant after its first four rows:
+        # a nominal dof of 6·4**511 gives p = 1.
+        n, k = 200, 511
+        x = [i % 3 for i in range(n)]
+        y = [i * 7 % 4 for i in range(n)]
+        rows = ["X,Y," + ",".join(f"Z{j}" for j in range(k))]
+        rows += [f"{x[i]},{y[i]}," + ",".join([str(min(i, 4) % 4)] * k) for i in range(n)]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(rows) + "\n")
+        cs = ",".join(f"Z{j}" for j in range(k))
+        code, out, err = run_cli(capsys, ["test", "--data", str(path), "--x", "X", "--y", "Y",
+                                          "--cs", cs])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["dof"] == 6 * 4**k
+        assert report["log_p_g2"] == report["log_p_chi2"] == 0.0
+        assert report["g2"] > 0.0
+
     def test_ipf_table_over_cell_cap_is_data_error(self, tmp_path, capsys):
         # 4097 x 4096 labels: a dense ipf table just over 2**24 cells.
         path = tmp_path / "wide.csv"

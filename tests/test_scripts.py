@@ -26,9 +26,11 @@ def _rows(*argv):
 
 
 def test_kernel_stages():
-    rows = _rows("scripts/kernel_stages.py", "--shapes", "z2", "screen",
+    # z2 and screen count by bincount; hc6 (49152 cells for 200 rows) by
+    # sorting, and drops lone cells before its marginals.
+    rows = _rows("scripts/kernel_stages.py", "--shapes", "z2", "hc6", "screen",
                  "--rows", "200", "--rounds", "1", "--calls", "2")
-    assert [row["shape"] for row in rows] == ["z2", "screen"]
+    assert [row["shape"] for row in rows] == ["z2", "hc6", "screen"]
     for row in rows:
         stages = row["src"]
         # Minor page faults per call, where the platform counts them.
@@ -36,6 +38,7 @@ def test_kernel_stages():
         assert set(stages) == {"call", "strata_code", "cells", "closed_form", "log_sf",
                                "results", "other"} | faults
         assert stages["call"] > 0 and stages["log_sf"] > 0
+        assert stages["cells"] > 0 and stages["closed_form"] > 0
         assert stages.get("minflt", 0) >= 0
 
 

@@ -110,6 +110,34 @@ class TestStackedTables:
             assert table.total == n
 
 
+class TestCountDistinct:
+    @given(
+        ids=st.lists(st.integers(0, 2**62 - 1), max_size=200)
+        | st.lists(st.integers(0, 30), max_size=200),
+    )
+    def test_sort_branch_equals_unique_and_sorts_in_place(self, ids):
+        ids = np.array(ids, dtype=np.int64)
+        scratch = ids.copy()
+        space = 2**62  # beyond _BINCOUNT_SPAN ids a value
+        values, counts, inverse = tabulate._count_distinct(scratch, space)
+        expected_values, expected_counts = np.unique(ids, return_counts=True)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(counts, expected_counts)
+        assert inverse is None
+        assert np.array_equal(scratch, np.sort(ids))
+
+    @given(ids=st.lists(st.integers(0, 2**62 - 1), max_size=200))
+    def test_sort_branch_inverse_leaves_ids(self, ids):
+        ids = np.array(ids, dtype=np.int64)
+        scratch = ids.copy()
+        values, counts, inverse = tabulate._count_distinct(scratch, 2**62, inverse=True)
+        expected = np.unique(ids, return_counts=True, return_inverse=True)
+        assert np.array_equal(values, expected[0])
+        assert np.array_equal(inverse, expected[1])
+        assert np.array_equal(counts, expected[2])
+        assert np.array_equal(scratch, ids)
+
+
 class TestSliceMarginals:
     def test_symmetric_two_way(self):
         t = table_from_counts(np.array([[20, 30], [30, 20]]))
