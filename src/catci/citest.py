@@ -372,12 +372,13 @@ def _closed_form(cells: tabulate.OccupiedCells) -> list[tuple[float, float]]:
     # Strata numbered from 1, so the marginals span only those left (and
     # their bin 0 stays empty).
     stratum = first.cumsum()
-    x_of, y_of = np.divmod(np.arange(dx * dy), dy)  # the x and y of each xy
     n = count.astype(np.float64)
-    xz = stratum * dx
-    xz += x_of[xy]
-    yz = stratum * dy
-    yz += y_of[xy]
+    # Only the cells kept are split, by a floor division and a
+    # multiply-subtract as in _stack: x = xy // |Y| and y = xy - x·|Y|.
+    xz = xy // dy
+    yz = xy - xz * dy
+    xz += stratum * dx
+    yz += stratum * dy
     n_xz = np.bincount(xz, weights=n)
     n_yz = np.bincount(yz, weights=n)
     n_z = np.bincount(stratum, weights=n)

@@ -144,8 +144,7 @@ def _count_distinct(
         return ids[starts[:-1]], starts[1:] - starts[:-1], None
     order = np.argsort(ids)
     ranks = ids[order]
-    head = np.ones(ids.size, dtype=bool)  # where a run of equal sorted ids starts
-    np.not_equal(ranks[1:], ranks[:-1], out=head[1:])
+    head = _run_heads(ranks)[:-1]
     values = ranks[head]
     ranks[...] = head
     del head

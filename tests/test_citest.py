@@ -544,6 +544,37 @@ class TestOccupiedStrataKernel:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_memory_tracks_rows_not_wide_x_and_y(self, rng):
+        # 2048 x 2048 levels, no Z: 4.2M nominal (x, y) codes for 6144 rows.
+        # An array over those codes would take 32 MiB; the kernel needs a
+        # few arrays of n and marginals of |X| + |Y|.
+        n, levels = 6144, 2048
+        x = np.arange(n) % levels
+        y = (x + rng.integers(0, 3, size=n)) % levels
+        w = rng.integers(0, levels, size=n)
+        labels = tuple(map(str, range(levels)))  # a level may go unused
+        data = Dataset(n, tuple(CategoricalColumn(name, levels, codes, labels=labels)
+                                for name, codes in (("x", x), ("y", y), ("w", w))))
+        specs = [TestSpec(0, 1), TestSpec(0, 2)]
+        tracemalloc.start()
+        try:
+            single = ci_test(data, specs[0])
+            batch = batch_screen(data, specs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert batch[0] == single
+        for result, other in zip(batch, (y, w)):
+            # One stratum: E = N_x·N_y / n, summed over the occupied cells.
+            cells = np.unique(x * levels + other, return_counts=True)
+            n_x, n_y = np.bincount(x, minlength=levels), np.bincount(other, minlength=levels)
+            cx, cy = np.divmod(cells[0], levels)
+            e = n_x[cx] * n_y[cy] / n
+            counts = cells[1].astype(np.float64)
+            assert result.g2 == pytest.approx(math.fsum(2.0 * counts * np.log(counts / e)))
+            assert result.chi2 == pytest.approx(math.fsum(counts * counts / e - counts))
+            assert result.dof == (levels - 1) ** 2
 
     @pytest.mark.parametrize("dx, dy, k", [(2, 2, 60), (2, 2, 61), (3, 4, 58), (3, 4, 59)])
     def test_cell_space_at_the_int64_bound(self, dx, dy, k):
